@@ -15,9 +15,25 @@ import time
 import pytest
 
 from repro.metadata import MetadataStore, Q
+from repro.metadata.query import Query
 from repro.workloads import zebrafish_basic_schema
 
 N_RECORDS = 30_000
+
+
+class _Touched(Query):
+    """Wraps a query to count the records the store confirmed against it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.count = 0
+
+    def matches(self, record):
+        self.count += 1
+        return self.inner.matches(record)
+
+    def candidates(self, store):
+        return self.inner.candidates(store)
 
 
 def _populate(n=N_RECORDS):
@@ -57,6 +73,13 @@ def test_e4_registration_and_query_scale(benchmark, report):
     indexed_hits = store.query(query)
     indexed_time = time.perf_counter() - t0
 
+    # The first page of the same answer: the walk stops at the tenth hit.
+    limit = 10
+    first_page = _Touched(query)
+    t0 = time.perf_counter()
+    limited_hits = store.query(first_page, limit=limit)
+    limited_time = time.perf_counter() - t0
+
     report(
         "E4", f"metadata repository at {N_RECORDS:,} datasets",
         [
@@ -64,11 +87,16 @@ def test_e4_registration_and_query_scale(benchmark, report):
             ("query (full scan)", "-", f"{scan_time * 1e3:.1f} ms -> {len(scan_hits)} hits"),
             ("query (plate index)", "faster",
              f"{indexed_time * 1e3:.1f} ms ({scan_time / indexed_time:.0f}x speedup)"),
+            ("indexed query, limit 10", "touches ~limit records",
+             f"{limited_time * 1e6:.0f} us, {first_page.count} records touched"),
         ],
     )
     assert indexed_hits == scan_hits
     assert indexed_time < scan_time
     assert len(scan_hits) == N_RECORDS // 40 // 3
+    assert limited_hits == scan_hits[:limit]
+    # One plate-7 record in three has z_plane 1: ~3 candidates per hit.
+    assert first_page.count <= 4 * limit
 
 
 def test_e4_range_query_pruning(benchmark, report):
@@ -76,8 +104,8 @@ def test_e4_range_query_pruning(benchmark, report):
 
     ``timepoint >= cutoff`` selects the newest ~7% of a campaign — the
     shape of every reprocessing selection — and must return the exact
-    full-scan answer while touching only the matching tail of the
-    ordered index.
+    full-scan answer while touching only the records under the matching
+    tail of the field index's sorted keys.
     """
     store = benchmark.pedantic(_populate, rounds=1, iterations=1)
     # timepoint = i // 4000 spans 0..7; >= 7 selects the last 2,000 records.
@@ -88,11 +116,11 @@ def test_e4_range_query_pruning(benchmark, report):
     scan_time = time.perf_counter() - t0
 
     store.index_field("timepoint")
+    pruned = _Touched(query)
     t0 = time.perf_counter()
-    pruned_hits = store.query(query)
+    pruned_hits = store.query(pruned)
     pruned_time = time.perf_counter() - t0
 
-    candidates = (Q.field("timepoint") >= 7).candidates(store)
     report(
         "E4e", f"range-query pruning at {N_RECORDS:,} datasets",
         [
@@ -102,12 +130,12 @@ def test_e4_range_query_pruning(benchmark, report):
              f"{pruned_time * 1e3:.1f} ms "
              f"({scan_time / pruned_time:.0f}x speedup)"),
             ("candidate set vs corpus", "tail only",
-             f"{len(candidates)} of {N_RECORDS:,} records considered"),
+             f"{pruned.count} of {N_RECORDS:,} records considered"),
         ],
     )
     assert pruned_hits == scan_hits
     assert pruned_time < scan_time
-    assert len(candidates) == 2_000
+    assert pruned.count == 2_000
     assert len(scan_hits) == 2_000
 
 

@@ -25,11 +25,13 @@ from repro.adal.wire.errors import (
 )
 from repro.adal.wire.protocol import (
     MAX_FRAME_BYTES,
+    MAX_QUERY_DEPTH,
     OPS,
     encode_frame,
     error_envelope,
     error_from,
     error_kind,
+    limit_from_wire,
     query_from_wire,
     query_to_wire,
     raise_for_error,
@@ -41,6 +43,7 @@ from repro.adal.wire.server import WireRequest, WireServer
 __all__ = [
     "BATCHABLE_OPS",
     "MAX_FRAME_BYTES",
+    "MAX_QUERY_DEPTH",
     "OPS",
     "PoolExhaustedError",
     "RequestRejectedError",
@@ -55,6 +58,7 @@ __all__ = [
     "error_envelope",
     "error_from",
     "error_kind",
+    "limit_from_wire",
     "query_from_wire",
     "query_to_wire",
     "raise_for_error",

@@ -78,6 +78,11 @@ _LENGTH = struct.Struct("<I")
 #: Hard per-frame size bound (requests and responses alike).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
+#: Deepest query tree :func:`query_from_wire` rebuilds; hand-written
+#: queries nest a handful of levels, a hostile one must not reach the
+#: interpreter's recursion limit.
+MAX_QUERY_DEPTH = 32
+
 #: Operations the server accepts (batch is the coalescing envelope).
 OPS = ("ping", "auth", "register", "get", "query", "tag", "add_processing",
        "stat", "exists", "batch", "stall")
@@ -124,7 +129,8 @@ async def read_frame(
         on_bytes(_LENGTH.size + length)
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder will follow.
         raise WireProtocolError(f"undecodable frame payload: {exc}") from None
     if not isinstance(message, dict):
         raise WireProtocolError("frame payload must be a JSON object")
@@ -251,17 +257,23 @@ def query_to_wire(q: Query) -> list:
     raise WireProtocolError(f"query node {type(q).__name__} has no wire form")
 
 
-def query_from_wire(obj: Any) -> Query:
-    """Rebuild a query tree from its JSON S-expression form."""
+def query_from_wire(obj: Any, depth: int = 1) -> Query:
+    """Rebuild a query tree from its JSON S-expression form.
+
+    Trees nested deeper than :data:`MAX_QUERY_DEPTH` are refused.
+    """
+    if depth > MAX_QUERY_DEPTH:
+        raise WireProtocolError(
+            f"wire query nested deeper than {MAX_QUERY_DEPTH} levels")
     if not isinstance(obj, list) or not obj:
         raise WireProtocolError(f"malformed wire query: {obj!r}")
     head, *rest = obj
     if head == "and":
-        return And(*[query_from_wire(p) for p in rest])
+        return And(*[query_from_wire(p, depth + 1) for p in rest])
     if head == "or":
-        return Or(*[query_from_wire(p) for p in rest])
+        return Or(*[query_from_wire(p, depth + 1) for p in rest])
     if head == "not" and len(rest) == 1:
-        return Not(query_from_wire(rest[0]))
+        return Not(query_from_wire(rest[0], depth + 1))
     if head == "field" and len(rest) == 3:
         return FieldCmp(str(rest[0]), str(rest[1]), rest[2])
     if head == "tag" and len(rest) == 1:
@@ -273,3 +285,13 @@ def query_from_wire(obj: Any) -> Query:
     if head == "all" and not rest:
         return MatchAll()
     raise WireProtocolError(f"malformed wire query node: {obj!r}")
+
+
+def limit_from_wire(value: Any) -> Optional[int]:
+    """Validate a ``query`` op's ``limit``: absent, or a non-negative integer."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise WireProtocolError(
+            f"query limit must be a non-negative integer, got {value!r}")
+    return value

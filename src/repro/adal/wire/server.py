@@ -50,6 +50,7 @@ from repro.adal.wire.protocol import (
     OPS,
     error_envelope,
     error_kind,
+    limit_from_wire,
     query_from_wire,
     read_frame,
     write_frame,
@@ -665,10 +666,8 @@ class WireServer:
             return self.store.get(args["dataset_id"]).to_dict()
         if op == "query":
             query = query_from_wire(args["q"])
-            hits = self.store.query(query)
-            limit = args.get("limit")
-            if limit is not None:
-                hits = hits[:int(limit)]
+            limit = limit_from_wire(args.get("limit"))
+            hits = self.store.query(query, limit) if limit != 0 else []
             if args.get("ids_only"):
                 return {"ids": [r.dataset_id for r in hits],
                         "count": len(hits)}

@@ -308,29 +308,12 @@ class DurableMetadataStore(MetadataStore):
                 },
             )
         for payload in state["datasets"]:
-            record = DatasetRecord.from_dict(payload)
-            self._datasets[record.dataset_id] = record
-            self._url_index[record.url] = record.dataset_id
-            self._projects[record.project].dataset_count += 1
-            self._project_index.setdefault(record.project, set()).add(record.dataset_id)
-            for tag in record.tags:
-                self._tag_index.setdefault(tag, set()).add(record.dataset_id)
+            self._index_record(DatasetRecord.from_dict(payload))
         self._step_seq = int(state["step_seq"])
         for name in state["indexed_fields"]:
             super().index_field(name)
 
     # -- crash / recovery -------------------------------------------------------
-    def _wipe(self) -> None:
-        """Drop all in-memory state (what a process death does)."""
-        self._projects = {}
-        self._datasets = {}
-        self._tag_index = {}
-        self._project_index = {}
-        self._field_indexes = {}
-        self._ordered_indexes = {}
-        self._url_index = {}
-        self._step_seq = 0
-
     def crash(self, torn_tail_bytes: int = 0) -> None:
         """Kill the in-memory store, optionally tearing the WAL tail.
 
@@ -340,7 +323,7 @@ class DurableMetadataStore(MetadataStore):
         snapshot — survives; everything else is gone and the store refuses
         operations until :meth:`recover` runs.
         """
-        self._wipe()
+        self._reset()  # what a process death does to in-memory state
         self._available = False
         self.crashes += 1
         if torn_tail_bytes:
@@ -353,7 +336,7 @@ class DurableMetadataStore(MetadataStore):
         the first tear).  Operations that failed when first attempted fail
         identically and are skipped.  The store comes back available.
         """
-        self._wipe()
+        self._reset()
         self._available = True
         self._replaying = True
         try:

@@ -8,9 +8,12 @@ Queries are small expression trees built with :class:`Q`::
          & (Q.field("wavelength") >= 480) & Q.tag("qc-passed"))
     hits = store.query(q)
 
-Each node can both *evaluate* against a record and propose *candidate id
-sets* from the store's secondary indexes, so equality terms on indexed
-fields, tags, and projects prune the scan (measured in E4).
+Each node can both *evaluate* against a record and propose *candidates*
+from the store's indexes, so equality and range terms on indexed fields,
+tags, and projects prune the scan (measured in E4).  Candidates are *runs*:
+posting lists (dataset ids in id order) borrowed from the index, never
+copied, whose union is a superset of the matches.  The store walks the
+runs in id order and confirms each candidate with :meth:`Query.matches`.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _resolve(record: DatasetRecord, name: str) -> Any:
-    """Field lookup: top-level attributes first, then basic metadata."""
+def resolve_field(record: DatasetRecord, name: str) -> Any:
+    """The value a field name denotes: a top-level attribute first, else
+    the basic-metadata entry (what comparisons see and indexes store)."""
     if name in _TOP_LEVEL:
         return getattr(record, name)
     return record.basic.get(name)
@@ -49,8 +53,8 @@ class Query:
         """Whether a record satisfies this query."""
         raise NotImplementedError
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        """Candidate dataset-id set from indexes, or None for a full scan."""
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        """Candidate runs from the store's indexes, or None for a full scan."""
         return None
 
     def __and__(self, other: "Query") -> "Query":
@@ -64,7 +68,7 @@ class Query:
 
 
 class And(Query):
-    """Conjunction; candidates are the intersection of indexed children."""
+    """Conjunction; candidates are those of its most selective indexed child."""
 
     def __init__(self, *parts: Query):
         self.parts = parts
@@ -72,14 +76,11 @@ class And(Query):
     def matches(self, record: DatasetRecord) -> bool:
         return all(p.matches(record) for p in self.parts)
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        sets = [s for s in (p.candidates(store) for p in self.parts) if s is not None]
-        if not sets:
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        indexed = [r for r in (p.candidates(store) for p in self.parts) if r is not None]
+        if not indexed:
             return None
-        out = sets[0]
-        for s in sets[1:]:
-            out = out & s
-        return out
+        return min(indexed, key=lambda runs: sum(map(len, runs)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return "(" + " & ".join(map(repr, self.parts)) + ")"
@@ -94,13 +95,13 @@ class Or(Query):
     def matches(self, record: DatasetRecord) -> bool:
         return any(p.matches(record) for p in self.parts)
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        out: set[str] = set()
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        out: list[list[str]] = []
         for part in self.parts:
-            s = part.candidates(store)
-            if s is None:
+            runs = part.candidates(store)
+            if runs is None:
                 return None
-            out |= s
+            out += runs
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -131,7 +132,7 @@ class FieldCmp(Query):
         self.value = value
 
     def matches(self, record: DatasetRecord) -> bool:
-        actual = _resolve(record, self.name)
+        actual = resolve_field(record, self.name)
         if actual is None:
             return False
         try:
@@ -139,14 +140,11 @@ class FieldCmp(Query):
         except TypeError:
             return False
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        if self.op == "==":
-            return store._index_lookup(self.name, self.value)
-        if self.op in ("<", "<=", ">", ">="):
-            # Ordered-index pruning: may return a superset (the store
-            # re-filters every candidate through matches()).
-            return store._range_lookup(self.name, self.op, self.value)
-        return None
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        index = store._field_indexes.get(self.name)
+        if index is None:
+            return None
+        return index.runs(self.op, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{self.name} {self.op} {self.value!r}"
@@ -161,8 +159,9 @@ class TagIs(Query):
     def matches(self, record: DatasetRecord) -> bool:
         return self.tag in record.tags
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        return set(store._tag_index.get(self.tag, ()))
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        posting = store._tag_index.get(self.tag)
+        return [posting] if posting else []
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"tag:{self.tag}"
@@ -177,8 +176,9 @@ class ProjectIs(Query):
     def matches(self, record: DatasetRecord) -> bool:
         return record.project == self.project
 
-    def candidates(self, store: "MetadataStore") -> Optional[set[str]]:
-        return set(store._project_index.get(self.project, ()))
+    def candidates(self, store: "MetadataStore") -> Optional[list[list[str]]]:
+        posting = store._project_index.get(self.project)
+        return [posting] if posting else []
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"project:{self.project}"

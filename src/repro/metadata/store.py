@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from heapq import merge
+from itertools import chain, groupby, islice
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from repro.metadata.errors import (
     MetadataError,
@@ -25,61 +27,96 @@ from repro.metadata.errors import (
     UnknownProjectError,
     WriteOnceError,
 )
-from repro.metadata.query import Query
+from repro.metadata.query import Query, resolve_field
 from repro.metadata.records import DatasetRecord, ProcessingRecord
 from repro.metadata.schema import Schema
 
-#: Range operators the ordered index can answer.
-_RANGE_OPS = ("<", "<=", ">", ">=")
+
+#: Most posting lists a limited query merges lazily.  Measured at 30,000
+#: ids: the first 10 of a lazy merge cost 0.02 ms over 64 lists and 0.3 ms
+#: over 1,024 against 1.3-1.9 ms for sorting them all; past ~4,000 lists
+#: creating the iterators costs more than the sort.
+_MERGE_MAX_RUNS = 1024
 
 
-class _OrderedIndex:
-    """Sorted parallel (key, dataset_id) lists answering range predicates.
+def _post(posting: list[str], dataset_id: str) -> None:
+    """Add an id to a posting list, keeping it in dataset-id order.
 
-    Keys must be mutually comparable; the first mixed-type insert or probe
-    *disables* the index (``None`` answers thereafter), falling back to the
-    full scan whose ``matches()`` semantics already treat incomparable
-    values as non-matching.  Ties on equal keys keep ids in insertion
-    order, which bisect slicing never depends on.
+    Ids normally arrive in order (one append); a late one is ``insort``-ed.
+    """
+    if not posting or posting[-1] < dataset_id:
+        posting.append(dataset_id)
+    else:
+        insort(posting, dataset_id)
+
+
+class _FieldIndex:
+    """The index over one field: sorted distinct values, a posting list each.
+
+    ``postings`` maps a value to the ids of the records holding it, in
+    dataset-id order; ``keys`` is the sorted list of those values and
+    answers range terms by bisection.  Both answer with *runs* — a list of
+    posting lists, handed out uncopied, whose union is a superset of the
+    matches (the store confirms every candidate with ``matches()``).
+    ``None`` means "ask the scan".
+
+    Values that no index term can match stay out: ``None``/missing, NaN,
+    and unhashable values (lists, dicts).  ``keys`` becomes ``None`` — range
+    terms go to the scan — once stored values stop being mutually
+    comparable (``int`` next to ``str``) or an unhashable one was skipped;
+    equality terms keep their postings either way.
     """
 
-    __slots__ = ("keys", "ids", "disabled")
+    __slots__ = ("postings", "keys")
 
     def __init__(self) -> None:
-        self.keys: list[Any] = []
-        self.ids: list[str] = []
-        self.disabled = False
+        self.postings: dict[Any, list[str]] = {}
+        self.keys: Optional[list[Any]] = []
 
-    def insert(self, key: Any, dataset_id: str) -> None:
-        """Add one entry, disabling the index on a type mismatch."""
-        if self.disabled:
+    def add(self, value: Any, dataset_id: str) -> None:
+        """Enter one record's value."""
+        if value is None or value != value:
             return
         try:
-            pos = bisect_right(self.keys, key)
-        except TypeError:
-            self.disabled = True
-            self.keys = []
-            self.ids = []
+            posting = self.postings.get(value)
+        except TypeError:  # unhashable: equal only to an unhashable probe
+            self.keys = None
             return
-        self.keys.insert(pos, key)
-        self.ids.insert(pos, dataset_id)
+        if posting is not None:
+            _post(posting, dataset_id)
+            return
+        self.postings[value] = [dataset_id]
+        if self.keys is not None:
+            try:
+                insort(self.keys, value)
+            except TypeError:
+                self.keys = None
 
-    def range(self, op: str, value: Any) -> Optional[set[str]]:
-        """Ids satisfying ``key <op> value``, or None when unanswerable."""
-        if self.disabled or op not in _RANGE_OPS:
-            return None
+    def runs(self, op: str, value: Any) -> Optional[list[list[str]]]:
+        """Posting lists covering ``field <op> value``, or None for the scan."""
         try:
+            if op == "==":
+                posting = self.postings.get(value)
+                return [posting] if posting else []
+            keys = self.keys
+            if keys is None:
+                return None
             if op == ">=":
-                return set(self.ids[bisect_left(self.keys, value):])
-            if op == ">":
-                return set(self.ids[bisect_right(self.keys, value):])
-            if op == "<":
-                return set(self.ids[:bisect_left(self.keys, value)])
-            return set(self.ids[:bisect_right(self.keys, value)])
+                keys = keys[bisect_left(keys, value):]
+            elif op == ">":
+                keys = keys[bisect_right(keys, value):]
+            elif op == "<":
+                keys = keys[:bisect_left(keys, value)]
+            elif op == "<=":
+                keys = keys[:bisect_right(keys, value)]
+            else:
+                return None
         except TypeError:
-            # Probe value incomparable with the stored keys: no record can
-            # match it either way, but let the scan decide.
+            # Unhashable or incomparable probe: the scan's matches() already
+            # treats such a comparison as "no match".
             return None
+        postings = self.postings
+        return [postings[key] for key in keys]
 
 
 @dataclass
@@ -97,16 +134,33 @@ class MetadataStore:
 
     def __init__(self) -> None:
         self._available = True
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty the repository: records, projects and every index."""
         self._projects: dict[str, ProjectInfo] = {}
         self._datasets: dict[str, DatasetRecord] = {}
-        self._tag_index: dict[str, set[str]] = {}
-        self._project_index: dict[str, set[str]] = {}
-        # field name -> value -> set of dataset ids
-        self._field_indexes: dict[str, dict[Any, set[str]]] = {}
-        # field name -> sorted (key, id) lists for range predicates
-        self._ordered_indexes: dict[str, _OrderedIndex] = {}
+        # Posting lists, each in dataset-id order: every id (what a scan
+        # walks), then ids per project, per tag and per indexed field value.
+        self._ids: list[str] = []
+        self._project_index: dict[str, list[str]] = {}
+        self._tag_index: dict[str, list[str]] = {}
+        self._field_indexes: dict[str, _FieldIndex] = {}
         self._url_index: dict[str, str] = {}
         self._step_seq = 0
+
+    def _index_record(self, record: DatasetRecord) -> None:
+        """Enter a record into the repository and every index."""
+        dataset_id = record.dataset_id
+        self._datasets[dataset_id] = record
+        self._projects[record.project].dataset_count += 1
+        self._url_index[record.url] = dataset_id
+        _post(self._ids, dataset_id)
+        _post(self._project_index[record.project], dataset_id)
+        for tag in record.tags:
+            _post(self._tag_index.setdefault(tag, []), dataset_id)
+        for name, index in self._field_indexes.items():
+            index.add(resolve_field(record, name), dataset_id)
 
     # -- availability -------------------------------------------------------
     @property
@@ -130,7 +184,7 @@ class MetadataStore:
             raise MetadataError(f"project {name!r} already registered")
         info = ProjectInfo(name, basic_schema, dict(processing_schemas or {}))
         self._projects[name] = info
-        self._project_index.setdefault(name, set())
+        self._project_index[name] = []
         return info
 
     def project(self, name: str) -> ProjectInfo:
@@ -174,17 +228,7 @@ class MetadataStore:
             basic=validated,
             tags=set(tags),
         )
-        self._datasets[dataset_id] = record
-        info.dataset_count += 1
-        self._url_index[url] = dataset_id
-        self._project_index[project].add(dataset_id)
-        for tag in record.tags:
-            self._tag_index.setdefault(tag, set()).add(dataset_id)
-        for name, index in self._field_indexes.items():
-            value = record.basic.get(name)
-            if value is not None:
-                index.setdefault(value, set()).add(dataset_id)
-                self._ordered_indexes[name].insert(value, dataset_id)
+        self._index_record(record)
         return record
 
     def get(self, dataset_id: str) -> DatasetRecord:
@@ -249,77 +293,73 @@ class MetadataStore:
         """Add tags to a dataset (idempotent)."""
         record = self.get(dataset_id)
         for tag in tags:
-            record.tags.add(tag)
-            self._tag_index.setdefault(tag, set()).add(dataset_id)
+            if tag not in record.tags:
+                record.tags.add(tag)
+                _post(self._tag_index.setdefault(tag, []), dataset_id)
 
     def untag(self, dataset_id: str, *tags: str) -> None:
         """Remove tags from a dataset (missing tags are ignored)."""
         record = self.get(dataset_id)
         for tag in tags:
-            record.tags.discard(tag)
-            bucket = self._tag_index.get(tag)
-            if bucket:
-                bucket.discard(dataset_id)
+            if tag in record.tags:
+                record.tags.discard(tag)
+                posting = self._tag_index[tag]
+                del posting[bisect_left(posting, dataset_id)]
 
     def tagged(self, tag: str) -> list[DatasetRecord]:
-        """All records carrying ``tag``."""
-        return [self._datasets[i] for i in sorted(self._tag_index.get(tag, ()))]
+        """All records carrying ``tag``, in dataset-id order."""
+        return [self._datasets[i] for i in self._tag_index.get(tag, ())]
 
     # -- indexes ---------------------------------------------------------------
     def index_field(self, name: str) -> None:
-        """Build (and maintain) secondary indexes over a basic-metadata field.
+        """Build (and maintain) a secondary index over a field.
 
-        Two structures are kept per indexed field: a value -> id-set hash
-        for equality terms, and an ordered (sorted-list) index answering
-        range terms (``>=``, ``>``, ``<``, ``<=``) by bisect slicing.  The
-        ordered index self-disables on the first mixed-type key, leaving
-        range terms to the full scan (equality pruning is unaffected).
+        One :class:`_FieldIndex` answers both equality and range terms
+        (``>=``, ``>``, ``<``, ``<=``) on the field; see there for the
+        values it leaves to the scan.
         """
         if name in self._field_indexes:
             return
-        index: dict[Any, set[str]] = {}
-        ordered = _OrderedIndex()
-        for record in self._datasets.values():
-            value = record.basic.get(name)
-            if value is not None:
-                index.setdefault(value, set()).add(record.dataset_id)
-                ordered.insert(value, record.dataset_id)
+        index = _FieldIndex()
+        datasets = self._datasets
+        for dataset_id in self._ids:  # id order: every add is an append
+            index.add(resolve_field(datasets[dataset_id], name), dataset_id)
         self._field_indexes[name] = index
-        self._ordered_indexes[name] = ordered
-
-    def _index_lookup(self, name: str, value: Any) -> Optional[set[str]]:
-        index = self._field_indexes.get(name)
-        if index is None:
-            return None
-        return set(index.get(value, ()))
-
-    def _range_lookup(self, name: str, op: str, value: Any) -> Optional[set[str]]:
-        """Candidate ids for ``field <op> value`` from the ordered index.
-
-        ``None`` means the query layer must fall back to a full scan: the
-        field is unindexed, the ordered index was disabled by mixed-type
-        keys, or the probe value is incomparable with the stored keys.
-        The returned set may be a superset of the true matches — callers
-        re-filter with ``matches()``.
-        """
-        ordered = self._ordered_indexes.get(name)
-        if ordered is None:
-            return None
-        return ordered.range(op, value)
 
     # -- querying -----------------------------------------------------------------
-    def query(self, q: Query) -> list[DatasetRecord]:
-        """All records matching a :class:`~repro.metadata.query.Query`."""
-        candidates = q.candidates(self)
-        if candidates is None:
-            pool: Iterable[DatasetRecord] = self._datasets.values()
+    def _matching(self, q: Query, first_page: bool) -> Iterator[DatasetRecord]:
+        """Records matching ``q``, lazily, in dataset-id order.
+
+        The query's indexed terms name the posting lists to walk (the
+        whole id list when there are none); ``matches()`` confirms each
+        candidate, so the walk stops as soon as the caller does.
+        ``first_page`` says the caller means to stop early.
+        """
+        runs = q.candidates(self)
+        if runs is None:
+            ids: Iterable[str] = self._ids
+        elif len(runs) == 1:
+            ids = runs[0]
         else:
-            pool = (self._datasets[i] for i in sorted(candidates) if i in self._datasets)
-        return [record for record in pool if q.matches(record)]
+            # Several lists: a lazy merge when a limit will stop it early,
+            # else one sort (2-8x cheaper than merging to the end).  Either
+            # way an id present in several lists comes out once.
+            ordered = (merge(*runs) if first_page and len(runs) <= _MERGE_MAX_RUNS
+                       else sorted(chain.from_iterable(runs)))
+            ids = (dataset_id for dataset_id, _ in groupby(ordered))
+        return filter(q.matches, map(self._datasets.__getitem__, ids))
+
+    def query(self, q: Query, limit: Optional[int] = None) -> list[DatasetRecord]:
+        """Records matching a :class:`~repro.metadata.query.Query`.
+
+        Results come in dataset-id order; ``limit`` (a non-negative int)
+        keeps the first ``limit`` of them and stops looking after that.
+        """
+        return list(islice(self._matching(q, limit is not None), limit))
 
     def count(self, q: Query) -> int:
         """Number of records matching a query."""
-        return len(self.query(q))
+        return sum(1 for _ in self._matching(q, False))
 
     # -- persistence -----------------------------------------------------------------
     def save(self, path: str | os.PathLike) -> None:
@@ -366,15 +406,9 @@ class MetadataStore:
                 if not line.strip():
                     continue
                 data = json.loads(line)
-                record = DatasetRecord.from_dict(data)
                 # Bypass schema re-validation: the data was validated at write
                 # time and the schema version may have moved on (additive).
-                store._datasets[record.dataset_id] = record
-                store._url_index[record.url] = record.dataset_id
-                store._projects[record.project].dataset_count += 1
-                store._project_index.setdefault(record.project, set()).add(record.dataset_id)
-                for tag in record.tags:
-                    store._tag_index.setdefault(tag, set()).add(record.dataset_id)
+                store._index_record(DatasetRecord.from_dict(data))
             for name in header.get("indexed_fields", []):
                 store.index_field(name)
         return store

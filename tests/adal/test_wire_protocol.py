@@ -13,12 +13,14 @@ from repro.adal.errors import (
 )
 from repro.adal.wire import (
     MAX_FRAME_BYTES,
+    MAX_QUERY_DEPTH,
     RequestRejectedError,
     WireProtocolError,
     encode_frame,
     error_envelope,
     error_from,
     error_kind,
+    limit_from_wire,
     query_from_wire,
     query_to_wire,
     read_frame,
@@ -76,6 +78,12 @@ class TestFraming:
 
     def test_non_json_payload_rejected(self):
         payload = b"\xff\xfe not json"
+        data = struct.pack("<I", len(payload)) + payload
+        with pytest.raises(WireProtocolError):
+            _read_all(data)
+
+    def test_payload_nested_past_the_decoder_rejected(self):
+        payload = b'{"id": 1, "args": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
         data = struct.pack("<I", len(payload)) + payload
         with pytest.raises(WireProtocolError):
             _read_all(data)
@@ -166,3 +174,26 @@ class TestQueryWireForm:
         for bad in ([], ["nope"], ["field", "a"], {"op": "and"}, 7):
             with pytest.raises(WireProtocolError):
                 query_from_wire(bad)
+
+    def test_hostile_nesting_is_a_protocol_error(self):
+        deepest_ok = ["all"]
+        for _ in range(MAX_QUERY_DEPTH - 1):
+            deepest_ok = ["not", deepest_ok]
+        query_from_wire(deepest_ok)
+        with pytest.raises(WireProtocolError, match="nested deeper"):
+            query_from_wire(["not", deepest_ok])
+        hostile = ["all"]
+        for _ in range(5000):  # far past the interpreter's recursion limit
+            hostile = ["not", hostile]
+        with pytest.raises(WireProtocolError, match="nested deeper"):
+            query_from_wire(hostile)
+        with pytest.raises(WireProtocolError, match="nested deeper"):
+            query_from_wire(["and", ["all"], ["or", hostile]])
+
+    def test_limit_validated_at_the_edge(self):
+        assert limit_from_wire(None) is None
+        assert limit_from_wire(0) == 0
+        assert limit_from_wire(10) == 10
+        for bad in (-1, "x", "10", 2.5, True, [3]):
+            with pytest.raises(WireProtocolError, match="limit"):
+                limit_from_wire(bad)

@@ -77,6 +77,32 @@ class TestOperations:
         assert hits["ids"] == ["new1"]
         assert "qc-passed" in tagged["tags"]
 
+    def test_query_limit_and_order(self):
+        async def scenario(server, client):
+            raw = Q.tag("raw")
+            first = await client.query(raw, limit=2, ids_only=True)
+            records = await client.query(raw, limit=1)
+            nothing = await client.query(raw, limit=0, ids_only=True)
+            everything = await client.query(raw, ids_only=True)
+            for bad in (-1, "x", 1.5, True):
+                with pytest.raises(WireProtocolError, match="limit"):
+                    await client.query(raw, limit=bad, ids_only=True)
+            hostile = ["all"]
+            for _ in range(200):
+                hostile = ["not", hostile]
+            with pytest.raises(WireProtocolError, match="nested deeper"):
+                await client.call("query", {"q": hostile}, batch=False)
+            unhashable = await client.call(
+                "query", {"q": ["field", "plate", "==", [1, 2]],
+                          "ids_only": True}, batch=False)
+            return first, records, nothing, everything, unhashable
+        first, records, nothing, everything, unhashable = _run(scenario)
+        assert first == {"ids": ["d0", "d2"], "count": 2}
+        assert [r["dataset_id"] for r in records["records"]] == ["d0"]
+        assert nothing == {"ids": [], "count": 0}
+        assert everything["ids"] == ["d0", "d2", "d4", "d6"]
+        assert unhashable == {"ids": [], "count": 0}
+
     def test_add_processing(self):
         async def scenario(server, client):
             step = await client.add_processing(

@@ -83,18 +83,20 @@ class TestSpecials:
 
 
 class TestIndexUsage:
-    def test_and_intersects_candidates(self, store):
+    def test_and_walks_its_most_selective_term(self, store):
         store.index_field("plate")
         q = Q.tag("done") & (Q.field("plate") == 1)
-        candidates = q.candidates(store)
-        assert candidates == {"img-05"}
-        assert store.count(q) == 1
+        assert q.candidates(store) == [["img-05", "img-06"]]  # 2 tagged < 5 on plate 1
+        assert [r.dataset_id for r in store.query(q)] == ["img-05"]
 
     def test_or_union_only_when_all_indexed(self, store):
-        q_indexed = Q.tag("done") | Q.project("katrin")
-        assert q_indexed.candidates(store) == {"img-05", "img-06", "run-1"}
+        q_indexed = Q.tag("done") | Q.project("katrin") | Q.tag("done")
+        assert q_indexed.candidates(store) is not None
+        assert [r.dataset_id for r in store.query(q_indexed)] == [
+            "img-05", "img-06", "run-1"]  # merged in id order, each once
         q_mixed = Q.tag("done") | (Q.field("wavelength") > 0)
         assert q_mixed.candidates(store) is None
+        assert store.count(q_mixed) == 20
 
     def test_not_is_full_scan(self, store):
         assert (~Q.tag("done")).candidates(store) is None

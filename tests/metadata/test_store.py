@@ -147,16 +147,34 @@ class TestIndexes:
         for i in range(10):
             _register(store, i, plate=i % 2)
         store.index_field("plate")
-        assert store._index_lookup("plate", 0) == {f"img-{i}" for i in range(0, 10, 2)}
+        q = Q.field("plate") == 0
+        assert q.candidates(store) is not None
+        assert [r.dataset_id for r in store.query(q)] == [
+            f"img-{i}" for i in range(0, 10, 2)]
 
     def test_index_maintained_for_new_records(self):
         store = _store()
         store.index_field("plate")
         _register(store, 1, plate=7)
-        assert store._index_lookup("plate", 7) == {"img-1"}
+        assert [r.dataset_id for r in store.query(Q.field("plate") == 7)] == ["img-1"]
+        assert store.query(Q.field("plate") == 8) == []
 
     def test_unindexed_field_returns_none(self):
-        assert _store()._index_lookup("well", "A01") is None
+        assert (Q.field("well") == "A01").candidates(_store()) is None
+
+    def test_limit_keeps_the_first_hits_in_id_order(self):
+        store = _store()
+        for i in (3, 1, 2):
+            _register(store, i, plate=0)
+
+        def ids(**kw):
+            return [r.dataset_id for r in store.query(Q.all(), **kw)]
+
+        assert ids() == ["img-1", "img-2", "img-3"]
+        assert ids(limit=2) == ["img-1", "img-2"]
+        assert ids(limit=0) == []
+        with pytest.raises(ValueError):
+            store.query(Q.all(), limit=-1)
 
 
 class TestPersistence:
