@@ -32,47 +32,58 @@ _SEED = 47
 
 
 def _run(enabled=True, storm=False, seed=_SEED):
-    facility, result = run_overload_drill(
+    return run_overload_drill(
         seed=seed, scale=_SCALE, duration_scale=_DURATION,
         enabled=enabled, storm=storm)
+
+
+def _p99(facility):
     reg = facility.telemetry.registry
     [(_labels, latency)] = reg.samples("frontdoor.latency_seconds")
-    return result, latency.percentile(99)
+    return latency.percentile(99)
 
 
-def _row(label, result):
-    ratio = (result.surge_goodput / result.baseline_goodput
-             if result.baseline_goodput else 0.0)
-    return (f"{label}: surge/baseline goodput", ">= 0.80 (defended)",
-            f"{ratio:.2f} ({result.surge_goodput:.1f}/s vs "
+def _ratio(result):
+    return (result.surge_goodput / result.baseline_goodput
+            if result.baseline_goodput else 0.0)
+
+
+def _row(label, expected, result):
+    return (f"{label}: surge/baseline goodput", expected,
+            f"{_ratio(result):.2f} ({result.surge_goodput:.1f}/s vs "
             f"{result.baseline_goodput:.1f}/s, peak queue "
             f"{result.peak_queue_depth}/{result.queue_bound})")
 
 
 def test_e18_frontdoor_overload(benchmark, report):
-    ((defended, defended_p99), (naive, naive_p99),
-     (storm, _storm_p99)) = benchmark.pedantic(
+    ((defended_facility, defended), (naive_facility, naive),
+     (_storm_facility, storm)) = benchmark.pedantic(
         lambda: (_run(), _run(enabled=False), _run(storm=True)),
         rounds=1, iterations=1)
-    twin, _twin_p99 = _run(seed=_SEED)
+    _twin_facility, twin = _run(seed=_SEED)
 
     served = defended.accounting["terminal"]
+    defended_p99, naive_p99 = _p99(defended_facility), _p99(naive_facility)
+    bulk_deadline = defended_facility.frontdoor.deadlines[-1]
     rows = [
-        _row("defended", defended),
-        _row("naive (ablation)", naive),
-        ("served-request p99 latency", "defended << naive",
+        _row("defended", ">= 0.80", defended),
+        _row("naive (ablation)", "< defended", naive),
+        # The defences do not buy served-request tail latency: in both arms
+        # bulk work queues up to its deadline and is served just inside it.
+        ("served-request p99 latency", f"<= {bulk_deadline:.0f} s, both arms",
          f"{defended_p99:.2f} s defended vs {naive_p99:.2f} s naive"),
         ("defended: silent loss", "0",
          str(defended.accounting["silent_loss"])),
-        ("defended: outcome mix", "served >> shed",
+        ("defended: outcome mix", "(informational)",
          f"{served['served']} served, {served['served_degraded']} degraded, "
          f"{served['rejected']} rejected, {served['shed']} shed, "
          f"{served['timed_out']} timed out"),
         ("storm arm: client resubmissions", "contained at the door",
          f"{storm.client_retries} offered, "
          f"{storm.admitted_retries} admitted"),
-        ("naive arm: timeouts", "collapse visible",
-         str(naive.accounting["terminal"]["timed_out"])),
+        ("timed-out requests", "naive > defended",
+         f"{naive.accounting['terminal']['timed_out']} naive vs "
+         f"{served['timed_out']} defended"),
         ("twin-run determinism", "bit-identical",
          "identical" if defended.fingerprint() == twin.fingerprint()
          else "DIVERGED"),
@@ -85,5 +96,7 @@ def test_e18_frontdoor_overload(benchmark, report):
     assert storm.passed, storm.failures
     assert defended.accounting["silent_loss"] == 0
     assert naive.accounting["silent_loss"] == 0
-    assert naive.accounting["terminal"]["timed_out"] > 0
+    assert _ratio(naive) < _ratio(defended)
+    assert max(defended_p99, naive_p99) <= bulk_deadline
+    assert naive.accounting["terminal"]["timed_out"] > served["timed_out"]
     assert defended.fingerprint() == twin.fingerprint()

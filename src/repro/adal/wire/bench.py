@@ -6,7 +6,7 @@ client tasks sharing one pooled :class:`WireClient`, and returns the
 headline numbers: sustained requests/s, latency percentiles, batch
 coalescing stats, the server's zero-silent-loss balance and a leaked-task
 count.  The same harness backs the E19 benchmark, the ``repro wire``
-CLI subcommand and the CI ``wire-smoke`` job, so every consumer measures
+CLI subcommand and the CI ``smoke`` job, so every consumer measures
 the exact same thing.
 
 The op mix is deterministic — pure index arithmetic, no RNG, no

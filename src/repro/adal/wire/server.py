@@ -38,6 +38,7 @@ carries the front door's zero-silent-loss balance sheet over the wire.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -408,8 +409,14 @@ class WireServer:
                 WireProtocolError(f"unknown op {op!r}")), status="error")
             return
         self._m_requests[op].add(1)
+        try:
+            args, tenant, priority, budget = self._envelope_fields(op, message)
+        except WireProtocolError as exc:
+            await self._send(state, error_envelope(message_id, exc),
+                             status="error")
+            return
         if op == "auth":
-            await self._handle_auth(state, message_id, message.get("args") or {})
+            await self._handle_auth(state, message_id, args)
             return
         if self.auth is not None:
             session = message.get("session")
@@ -429,14 +436,10 @@ class WireServer:
                     WireProtocolError("authentication required")),
                     status="error")
                 return
-        args = message.get("args") or {}
         nops = len(args.get("ops", ())) if op == "batch" else 1
-        tenant = message.get("tenant") or state.tenant or self._fallback_tenant
+        tenant = tenant or state.tenant or self._fallback_tenant
         if tenant not in self.tenants:
             tenant = self._fallback_tenant
-        priority = int(message.get("priority",
-                                   _OP_PRIORITY.get(op, BATCH)))
-        budget = float(message.get("budget", self.deadlines[priority]))
         now = self._clock()
         self._seq += 1
         request = WireRequest(
@@ -458,6 +461,26 @@ class WireServer:
         # Queue-side drops (expired / shed) surfaced by a concurrent pop
         # must be answered promptly even if every worker is busy.
         await self._flush_drops()
+
+    def _envelope_fields(self, op: str, message: dict) -> tuple:
+        """The client-set envelope fields ``(args, tenant, priority,
+        budget)``, type- and range-checked: they arrive off the socket and
+        index the deadline table and the per-priority queues."""
+        args = message.get("args") or {}
+        if not isinstance(args, dict):
+            raise WireProtocolError("args must be an object")
+        tenant = message.get("tenant")
+        if tenant is not None and not isinstance(tenant, str):
+            raise WireProtocolError("tenant must be a string")
+        priority = message.get("priority", _OP_PRIORITY.get(op, BATCH))
+        if type(priority) is not int or not 0 <= priority < len(self.deadlines):
+            raise WireProtocolError(
+                f"priority must be an integer in 0..{len(self.deadlines) - 1}")
+        budget = message.get("budget", self.deadlines[priority])
+        if (type(budget) not in (int, float) or not math.isfinite(budget)
+                or budget <= 0):
+            raise WireProtocolError("budget must be a finite number > 0")
+        return args, tenant, priority, float(budget)
 
     def _writes_in(self, request: WireRequest) -> bool:
         """Whether the request carries any write op (brownout policy)."""

@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goodput-floor", type=float, default=0.0,
                    metavar="RPS",
                    help="exit gate: minimum ok-responses/s per arm "
-                        "(used with --check by the CI wire-smoke job)")
+                        "(used with --check by the CI smoke job)")
     p.add_argument("--check", action="store_true",
                    help="exit non-zero on any gate failure: errors, silent "
                         "loss, leaked tasks/connections, goodput floor")

@@ -29,7 +29,6 @@ from repro.hdfs.namenode import NameNode
 from repro.mapreduce.sim import MapReduceSim
 from repro.cloud.controller import CloudController
 from repro.cloud.model import Host
-from repro.metadata.store import MetadataStore
 from repro.adal.api import AdalClient, BackendRegistry
 from repro.adal.backends.memory import MemoryBackend
 from repro.durability import DurabilityKit, DurableMetadataStore
@@ -57,6 +56,13 @@ from repro.workloads.zebrafish import (
     zebrafish_processing_schemas,
 )
 from repro.core.config import FacilityConfig, lsdf_2011_config
+
+#: ADAL stores under durability management (scrubbed and audited); the
+#: first is the primary store of the placement policy.
+AUDIT_STORES = ("lsdf",)
+#: Off-system replica stores, in declaration order (registered as ADAL
+#: backends and used as repair-planner restore sources).
+REPLICA_STORES = ("replica-a",)
 
 
 class Facility:
@@ -99,16 +105,10 @@ class Facility:
         )
 
         # -- network: backbone + grafted cluster racks -----------------------
-        topo, names = build_lsdf_backbone(
-            daq_count=cfg.daq_count,
-            cluster_nodes=0,
-            trunk_gbits=cfg.trunk_gbits,
-            storage_gbits=cfg.storage_gbits,
-            wan_gbits=cfg.wan_gbits,
-        )
+        topo, names = build_lsdf_backbone(daq_count=cfg.daq_count, cluster_nodes=0)
         self.names = names
-        node_bw = units.gbit_per_s(cfg.cluster_node_gbits)
-        uplink_bw = units.gbit_per_s(cfg.rack_uplink_gbits)
+        node_bw = units.gbit_per_s(1.0)
+        uplink_bw = units.gbit_per_s(10.0)
         rack_hosts: list[list[str]] = []
         for rack in range(cfg.cluster_racks):
             switch = f"sw-rack-{rack:02d}"
@@ -123,10 +123,7 @@ class Facility:
                 hosts.append(host)
             rack_hosts.append(hosts)
         names.cluster = [h for hosts in rack_hosts for h in hosts]
-        self.net = Network(
-            self.sim, topo, sharing=cfg.sharing, efficiency=cfg.network_efficiency,
-            vector_threshold=cfg.fluid_solver_threshold,
-        )
+        self.net = Network(self.sim, topo)
 
         # -- storage estate ------------------------------------------------------
         self.arrays = [
@@ -138,13 +135,7 @@ class Facility:
             array.name: names.storage[i % len(names.storage)]
             for i, array in enumerate(self.arrays)
         }
-        self.tape = TapeLibrary(
-            self.sim,
-            drives=cfg.tape_drives,
-            drive_bw=cfg.tape_drive_bw,
-            cartridge_capacity=cfg.tape_cartridge_bytes,
-            mount_time=cfg.tape_mount_time,
-        )
+        self.tape = TapeLibrary(self.sim, drives=6)
         self.hsm = HsmSystem(
             self.sim,
             self.pool,
@@ -154,21 +145,14 @@ class Facility:
         )
 
         # -- analysis cluster: HDFS + MapReduce ----------------------------------
-        namenode = NameNode(
-            block_size=cfg.hdfs_block_size,
-            replication=cfg.hdfs_replication,
-            placement=cfg.hdfs_placement,
-            rng=self.sim.random.spawn("hdfs.namenode"),
-        )
+        namenode = NameNode(rng=self.sim.random.spawn("hdfs.namenode"))
         for rack, hosts in enumerate(rack_hosts):
             for host in hosts:
                 namenode.add_datanode(host, f"rack-{rack:02d}", cfg.hdfs_node_capacity)
-        self.hdfs = HdfsCluster(self.sim, self.net, namenode, disk_bw=cfg.node_disk_bw)
+        self.hdfs = HdfsCluster(self.sim, self.net, namenode)
         self.mapreduce = MapReduceSim(
             self.sim,
             self.hdfs,
-            map_slots_per_node=cfg.map_slots_per_node,
-            reduce_slots_per_node=cfg.reduce_slots_per_node,
             scheduler=cfg.mr_scheduler,
             speculation=cfg.mr_speculation,
         )
@@ -176,48 +160,31 @@ class Facility:
         # -- cloud on the same nodes ------------------------------------------------
         self.cloud = CloudController(
             self.sim,
-            [Host(h, cfg.cloud_host_cpus, cfg.cloud_host_mem) for h in names.cluster],
+            [Host(h, cpus=8, mem=24 * units.GB) for h in names.cluster],
             self.net,
             image_store=self.array_nodes[self.arrays[-1].name],
             scheduler=cfg.cloud_scheduler,
-            boot_time=cfg.cloud_boot_time,
             image_cache=cfg.cloud_image_cache,
         )
 
         # -- resilience layer ---------------------------------------------------------
         self.resilience = ResilienceKit(
             self.sim,
-            policy=RetryPolicy(
-                max_attempts=cfg.retry_max_attempts,
-                base_delay=cfg.retry_base_delay,
-                multiplier=cfg.retry_multiplier,
-                max_delay=cfg.retry_max_delay,
-                jitter=cfg.retry_jitter,
-            ),
-            breaker_failure_threshold=cfg.breaker_failure_threshold,
-            breaker_reset_timeout=cfg.breaker_reset_timeout,
-            breaker_probe_timeout=cfg.breaker_probe_timeout,
-            dlq_capacity=cfg.dlq_capacity,
+            policy=RetryPolicy(max_attempts=5, max_delay=30.0),
             enabled=cfg.resilience_enabled,
         )
 
         # -- glue layer ---------------------------------------------------------------
-        if cfg.metadata_wal:
-            self.metadata: MetadataStore = DurableMetadataStore(
-                snapshot_every=cfg.metadata_snapshot_every
-            )
-        else:
-            self.metadata = MetadataStore()
+        self.metadata = DurableMetadataStore(snapshot_every=256)
         self.metadata.register_project(
             ZEBRAFISH_PROJECT, zebrafish_basic_schema(), zebrafish_processing_schemas()
         )
         self.adal_registry = BackendRegistry()
-        self.adal_registry.register("lsdf", MemoryBackend())
         # Replica stores are real backends but are *not* audited: policy
         # replica copies carry no catalog entries of their own and would
         # read as dark data to the consistency auditor.
-        for replica_store in cfg.policy_replica_stores:
-            self.adal_registry.register(replica_store, MemoryBackend())
+        for store in AUDIT_STORES + REPLICA_STORES:
+            self.adal_registry.register(store, MemoryBackend())
         self.adal = AdalClient(
             self.adal_registry,
             retry_policy=self.resilience.policy if cfg.resilience_enabled else None,
@@ -241,12 +208,11 @@ class Facility:
             self.sim,
             self.adal_registry,
             self.metadata,
-            stores=cfg.audit_stores,
+            stores=AUDIT_STORES,
             hdfs=self.hdfs,
             hsm=self.hsm,
             dlq=self.resilience.dlq,
-            replica_stores=cfg.policy_replica_stores,
-            scrub_bandwidth=cfg.scrub_bandwidth,
+            replica_stores=REPLICA_STORES,
             scrub_interval=cfg.scrub_interval,
             enabled=cfg.durability_enabled,
         )
@@ -257,13 +223,11 @@ class Facility:
         self.policy = PolicyEngine(
             self.metadata,
             self.adal_registry,
-            primary_store=cfg.audit_stores[0] if cfg.audit_stores else "lsdf",
-            replica_stores=cfg.policy_replica_stores,
+            primary_store=AUDIT_STORES[0],
+            replica_stores=REPLICA_STORES,
             quotas=QuotaBook(default_limit=cfg.policy_quota_bytes),
         )
-        if cfg.policy_default_rules:
-            self.policy.register_defaults(
-                community_defaults(len(cfg.policy_replica_stores)))
+        self.policy.register_defaults(community_defaults(len(REPLICA_STORES)))
         self.drift = DriftDetector(
             self.policy,
             tape=self.tape,
@@ -280,10 +244,6 @@ class Facility:
             tape=self.tape,
             stager=lambda record: self.load_into_hdfs(
                 hdfs_path(record), max(1.0, float(record.size))),
-            bandwidth=cfg.policy_bandwidth,
-            interval=cfg.policy_interval,
-            max_retries=cfg.policy_max_retries,
-            max_rounds=cfg.policy_max_rounds,
             enabled=cfg.policy_enabled,
         )
         if policy_daemon:
@@ -302,16 +262,6 @@ class Facility:
             enabled=cfg.frontdoor_enabled,
             workers=cfg.frontdoor_workers,
             queue_capacity=cfg.frontdoor_queue_capacity,
-            codel_target=cfg.frontdoor_codel_target,
-            codel_interval=cfg.frontdoor_codel_interval,
-            brownout_target=cfg.frontdoor_brownout_target,
-            service_overhead=cfg.frontdoor_service_overhead,
-            service_bandwidth=cfg.frontdoor_service_bandwidth,
-            deadlines=cfg.frontdoor_deadlines,
-            dlq_capacity=cfg.frontdoor_dlq_capacity,
-            breaker_threshold=cfg.frontdoor_breaker_threshold,
-            breaker_reset=cfg.frontdoor_breaker_reset,
-            breaker_probe_timeout=cfg.frontdoor_breaker_probe_timeout,
         )
 
         # -- facility-level gauges ------------------------------------------------
@@ -342,19 +292,17 @@ class Facility:
         reg.gauge_fn("net.routers_total",
                      lambda: float(len(self.names.routers)),
                      "Backbone routers in the topology")
-        if isinstance(self.metadata, DurableMetadataStore):
-            durable = self.metadata
-            for key, help_text in (
-                ("wal_records", "Records in the metadata WAL"),
-                ("wal_bytes", "Bytes in the metadata WAL"),
-                ("snapshots", "Metadata snapshots taken"),
-                ("crashes", "Metadata repository crashes injected"),
-                ("recoveries", "Metadata crash recoveries completed"),
-            ):
-                reg.gauge_fn(
-                    f"metadata.{key}",
-                    lambda k=key: float(durable.durability_stats()[k]),
-                    help_text)
+        for key, help_text in (
+            ("wal_records", "Records in the metadata WAL"),
+            ("wal_bytes", "Bytes in the metadata WAL"),
+            ("snapshots", "Metadata snapshots taken"),
+            ("crashes", "Metadata repository crashes injected"),
+            ("recoveries", "Metadata crash recoveries completed"),
+        ):
+            reg.gauge_fn(
+                f"metadata.{key}",
+                lambda k=key: float(self.metadata.durability_stats()[k]),
+                help_text)
 
     # -- high-level operations -------------------------------------------------
     def ingest_pipeline(
@@ -371,9 +319,7 @@ class Facility:
         or your own kit to isolate its counters)."""
         sink = StorageSink(self.pool, self.array_nodes)
         kwargs.setdefault("resilience", self.resilience)
-        kwargs.setdefault("transfer_timeout", self.config.ingest_transfer_timeout)
         kwargs.setdefault("fluid", self.config.fluid_ingest)
-        kwargs.setdefault("fluid_chunk", self.config.fluid_chunk_frames)
         return IngestPipeline(
             self.sim,
             self.net,
@@ -467,7 +413,7 @@ class Facility:
         auditor clean up."""
         from repro.core.chaos import durability_drill
 
-        kwargs.setdefault("store", self.config.audit_stores[0])
+        kwargs.setdefault("store", AUDIT_STORES[0])
         return durability_drill(**kwargs)
 
     def policy_drill(self, **kwargs):
@@ -481,7 +427,7 @@ class Facility:
         declared replica count — the closing audit must be clean."""
         from repro.core.chaos import policy_drill
 
-        kwargs.setdefault("store", self.config.audit_stores[0])
+        kwargs.setdefault("store", AUDIT_STORES[0])
         kwargs.setdefault("arrays", [a.name for a in self.arrays])
         kwargs.setdefault("datanodes", list(self.names.cluster[:2]))
         return policy_drill(**kwargs)

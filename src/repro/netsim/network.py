@@ -400,6 +400,10 @@ class Network:
 
     def _reroute_all(self) -> None:
         """Re-resolve the path of every flow after a topology change."""
+        # A flow whose last byte lands at this very instant finishes on
+        # the path it used, whichever of its completion timer and the
+        # topology event the scheduler runs first.
+        self._complete_finished()
         self._seen_epoch = self.topology.epoch
         dead: list[Flow] = []
         for flow in self._flows.values():

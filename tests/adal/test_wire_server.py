@@ -24,6 +24,7 @@ from repro.adal.wire import (
     WireProtocolError,
     WireServer,
 )
+from repro.adal.wire.protocol import read_frame, write_frame
 from repro.frontdoor.request import TenantSpec
 from repro.metadata.errors import UnknownDatasetError, WriteOnceError
 from repro.metadata.query import Q
@@ -192,6 +193,43 @@ class TestBatching:
             return results
         results = _run(scenario)
         assert not results[0]["ok"] and results[0]["kind"] == "bad_request"
+
+
+class TestMalformedEnvelope:
+    """Wrong-typed / out-of-range envelope fields get one ``bad_request``
+    reply, never an exception out of the connection handler."""
+
+    @pytest.mark.parametrize("fields", [
+        {"op": "ping", "priority": 9},
+        {"op": "ping", "priority": "x"},
+        {"op": "ping", "priority": -1},
+        {"op": "ping", "budget": "soon"},
+        {"op": "ping", "budget": float("nan")},
+        {"op": "batch", "args": [1, 2]},
+        {"op": "auth", "args": [1, 2]},
+        {"op": "ping", "tenant": ["public"]},
+    ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+    def test_one_bad_request_reply_and_connection_survives(self, fields, caplog):
+        async def scenario(server, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                await write_frame(writer, {"id": "bad", **fields})
+                await write_frame(writer, {"id": "next", "op": "ping"})
+                first = await asyncio.wait_for(read_frame(reader), 5.0)
+                second = await asyncio.wait_for(read_frame(reader), 5.0)
+                return first, second, server.accounting()
+            finally:
+                writer.close()
+        # An auth provider (not required) so the auth op reads its args.
+        first, second, acct = _run(scenario, auth=TokenAuth())
+        assert first["id"] == "bad" and not first["ok"]
+        assert first["kind"] == "bad_request"
+        # The very next frame is the follow-up's reply: exactly one response
+        # to the malformed message, and the connection is still served.
+        assert second["id"] == "next" and second["ok"]
+        assert acct["silent_loss"] == 0
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestAdmission:

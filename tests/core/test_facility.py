@@ -1,11 +1,17 @@
 """Integration tests for the composed facility."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.simkit.units import GB, MINUTE, TB
 from repro.core import Facility, FacilityConfig, lsdf_2011_config
 from repro.core.config import ArraySpec
 from repro.cloud import VMTemplate
+from repro.durability import DurableMetadataStore
+from repro.policy import community_defaults
 from repro.mapreduce import JobSpec
 from repro.workloads import zebrafish_microscopes
 
@@ -38,6 +44,34 @@ class TestConfig:
         assert len(facility.hdfs.namenode.nodes) == 60
         assert facility.metadata.projects == ["zebrafish"]
         assert facility.adal_registry.stores == ["lsdf", "replica-a"]
+
+    def test_values_the_facility_pins_at_its_call_sites(self, facility):
+        # These differ from (or have no) constructor default and no longer
+        # come from FacilityConfig: Facility passes them explicitly.
+        policy = facility.resilience.policy
+        assert (policy.max_attempts, policy.max_delay) == (5, 30.0)
+        assert len(facility.tape.drives) == 6
+        assert isinstance(facility.metadata, DurableMetadataStore)
+        assert facility.metadata.snapshot_every == 256
+        assert ([r.name for r in facility.policy.rules]
+                == [r.name for r in community_defaults(1)])
+
+    def test_every_config_field_is_flipped_somewhere(self):
+        # A FacilityConfig field earns its place by being set or read
+        # outside the config/facility pair; otherwise the owning
+        # constructor's default is the single source.  No allow-list.
+        root = Path(__file__).resolve().parents[2]
+        owners = {root / "src/repro/core/config.py",
+                  root / "src/repro/core/facility.py"}
+        text = "\n".join(
+            path.read_text() for top in ("src", "tests", "benchmarks",
+                                         "perfbench", "examples")
+            for path in sorted((root / top).rglob("*.py"))
+            if path not in owners)
+        fields = [f.name for f in dataclasses.fields(FacilityConfig)]
+        assert len(fields) <= 25
+        unused = [n for n in fields if not re.search(rf"\b{n}\b", text)]
+        assert unused == []
 
     def test_cluster_nodes_routable_to_storage(self, facility):
         topo = facility.net.topology

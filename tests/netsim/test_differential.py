@@ -19,7 +19,7 @@ is backed by a retained naive twin and an *exact*-equality test:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simkit import Simulator
@@ -242,6 +242,10 @@ def _run_workload(engine: str, ops) -> list[tuple]:
 
 class TestEngineDifferential:
     @given(_workload())
+    # A link fails at the instant a flow crossing it delivers its last byte.
+    @example([(0.0, "xfer", ("n4", "n5", 300.0, 1.0)),
+              (3.0, "xfer", ("n0", "n1", 1.0, 1.0)),
+              (0.0, "fail_link", 4)])
     @settings(max_examples=60, deadline=None)
     def test_incremental_engine_matches_reference(self, ops):
         fast = _run_workload("incremental", ops)
