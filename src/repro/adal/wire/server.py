@@ -246,10 +246,11 @@ class WireServer:
     # -- instruments ---------------------------------------------------------
     def _build_instruments(self) -> None:
         reg = self._hub.registry
+        # "unknown" counts the messages answered with an unknown-op error.
         self._m_requests = {
             op: reg.counter("wire.requests_total",
                             "Wire requests decoded, by operation", op=op)
-            for op in OPS}
+            for op in OPS + ("unknown",)}
         self._m_responses = {
             status: reg.counter("wire.responses_total",
                                 "Terminal wire responses, by status",
@@ -404,6 +405,7 @@ class WireServer:
         message_id = message.get("id")
         op = message.get("op")
         if op not in OPS or (op == "stall" and not self.debug_ops):
+            self._m_requests["unknown"].add(1)
             await self._send(state, error_envelope(
                 message_id,
                 WireProtocolError(f"unknown op {op!r}")), status="error")
@@ -767,16 +769,13 @@ class WireServer:
 
         ``silent_loss`` is decoded requests minus terminal responses minus
         work still queued or in service; it must be 0 at all times.
-        (``auth`` and malformed-op messages respond inline and appear in
-        both sides of the balance.)
+        (``auth``, unknown-op and malformed-envelope messages respond
+        inline and appear in both sides of the balance; unknown ops count
+        under ``op="unknown"``.)
         """
         reg = self._hub.registry
         received = int(reg.total("wire.requests_total"))
         responded = int(reg.total("wire.responses_total"))
-        # Responses to messages that never became requests (unknown op,
-        # auth-required, bad session) still count on the response side;
-        # unknown-op messages are not counted in requests_total, so track
-        # the balance over admitted work only.
         return {
             "received": received,
             "responded": responded,

@@ -380,6 +380,7 @@ class MetadataStore:
                     for info in self._projects.values()
                 ],
                 "indexed_fields": sorted(self._field_indexes),
+                "step_seq": self._step_seq,
             }
             fh.write(json.dumps(header) + "\n")
             for record in self._datasets.values():
@@ -402,6 +403,9 @@ class MetadataStore:
                         for step, sdata in proj.get("processing_schemas", {}).items()
                     },
                 )
+            # Step ids keep counting where the saved store stopped, so a
+            # step added after the load never reuses an existing id.
+            store._step_seq = int(header.get("step_seq", 0))
             for line in fh:
                 if not line.strip():
                     continue

@@ -8,23 +8,22 @@ and recomputed only for links whose membership changed, and frozen flows
 are collected from the saturated links directly instead of rescanning the
 whole active set.
 
-:func:`_reference_maxmin_rates` is the retained naive implementation —
-every round recomputes every link's weight sum from scratch.  Both solvers
-perform *bit-identical arithmetic*: they build the same insertion-ordered
-membership maps, sum weights left-to-right over the same element order,
-freeze flows in the same order, and apply capacity subtractions in the
-same sequence.  The differential property tests
-(``tests/netsim/test_differential.py``) assert **exact** equality of their
-outputs, which is what makes the optimized solver trustworthy.  If you
-touch either function, keep the arithmetic order mirrored or those tests
-will catch you.
+The naive oracle it is tested against lives beside the tests
+(``tests/netsim/reference.py``): every round recomputes every link's weight
+sum from scratch.  Both solvers perform *bit-identical arithmetic*: they
+build the same insertion-ordered membership maps (via :func:`_setup`), sum
+weights left-to-right over the same element order, freeze flows in the same
+order, and apply capacity subtractions in the same sequence.  The
+differential property tests (``tests/netsim/test_differential.py``) assert
+**exact** equality of their outputs, which is what makes the optimized
+solver trustworthy.  If you touch either function, keep the arithmetic
+order mirrored or those tests will catch you.
 
 :func:`equal_split_rates` is the ablation alternative (DESIGN.md §4): each
 link naively divides its capacity equally among crossing flows and a flow
 gets the minimum along its path.  It underestimates achievable rates because
-capacity "freed" by flows bottlenecked elsewhere is not redistributed.
-:func:`_reference_equal_split_rates` is its naive twin, kept for the same
-differential-testing purpose.
+capacity "freed" by flows bottlenecked elsewhere is not redistributed.  Its
+naive twin lives in the same test helper, for the same differential test.
 
 All are pure functions of ``(flow -> links)`` and ``(link -> capacity)``,
 which makes them directly property-testable (see
@@ -57,7 +56,7 @@ def _setup(
     capacities: Mapping[Hashable, float],
     weights: Mapping[Hashable, float] | None,
 ):
-    """Shared validated setup for both max-min solvers.
+    """Shared validated setup for the max-min solvers and their oracle.
 
     Returns ``(rates, active, w, remaining, members)`` where ``rates`` is
     pre-populated with the unconstrained (empty-path) flows, ``active``
@@ -65,7 +64,7 @@ def _setup(
     float weights, ``remaining`` the validated float capacities and
     ``members`` the per-link insertion-ordered membership maps
     (``lid -> {fid: None}``).  All containers are insertion-ordered dicts;
-    both solvers iterate them identically, which is what guarantees
+    every solver iterates them identically, which is what guarantees
     bit-identical results.
     """
     weights = weights or {}
@@ -128,7 +127,7 @@ def maxmin_rates(
     * every flow is bottlenecked: it crosses at least one saturated link
       (or is unconstrained);
     * with equal weights, flows sharing identical paths get equal rates;
-    * output is bit-identical to :func:`_reference_maxmin_rates`.
+    * output is bit-identical to the naive test-side oracle.
     """
     rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
 
@@ -202,57 +201,6 @@ def maxmin_rates(
     return rates
 
 
-def _reference_maxmin_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """The retained naive max-min solver (differential-test oracle).
-
-    Every progressive-filling round recomputes every loaded link's weight
-    sum from scratch — O(flows x links) per round, quadratic over a run —
-    which is exactly what :func:`maxmin_rates` avoids.  Kept deliberately
-    simple so its correctness is obvious; the optimized solver must match
-    it bit-for-bit (see the module docstring).
-    """
-    rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
-
-    while active:
-        shares: dict[Hashable, float] = {}
-        bottleneck = None
-        for lid, fids in members.items():
-            if not fids:
-                continue
-            total = 0.0
-            for fid in fids:
-                total += w[fid]
-            share = remaining[lid] / total
-            shares[lid] = share
-            if bottleneck is None or share < bottleneck:
-                bottleneck = share
-        if bottleneck is None:
-            for fid in active:
-                rates[fid] = _INF
-            break
-
-        threshold = bottleneck + _EPS
-        frozen: dict[Hashable, None] = {}
-        for lid, share in shares.items():
-            if share <= threshold:
-                for fid in members[lid]:
-                    frozen[fid] = None
-        for fid in frozen:
-            rate = bottleneck * w[fid]
-            rates[fid] = rate
-            for lid in active[fid]:
-                members[lid].pop(fid, None)
-                left = remaining[lid] - rate
-                remaining[lid] = left if left > 0.0 else 0.0
-            del active[fid]
-
-    return rates
-
-
 def vectorized_maxmin_rates(
     flow_links: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
@@ -260,8 +208,8 @@ def vectorized_maxmin_rates(
 ) -> dict[Hashable, float]:
     """Weighted max-min fair rates on a dense link x flow formulation.
 
-    Numerically **bit-identical** to :func:`maxmin_rates` and
-    :func:`_reference_maxmin_rates` — not merely close.  The equivalences
+    Numerically **bit-identical** to :func:`maxmin_rates` and the naive
+    test-side oracle — not merely close.  The equivalences
     that make that possible:
 
     * per-link weight sums use ``np.cumsum`` row sums, which accumulates
@@ -383,41 +331,6 @@ def equal_split_rates(
             rates[fid] = _INF
             continue
         wf = w[fid]
-        best = None
-        for lid in links:
-            offer = capacities[lid] * wf / link_load[lid]
-            if best is None or offer < best:
-                best = offer
-        rates[fid] = best
-    return rates
-
-
-def _reference_equal_split_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """The retained naive equal-split implementation (differential oracle).
-
-    Recomputes the per-flow weight lookup inside both passes instead of
-    caching it — the seed repo's original shape.  Arithmetic mirrors
-    :func:`equal_split_rates` exactly.
-    """
-    weights = weights or {}
-    link_load: dict[Hashable, float] = {}
-    for fid, links in flow_links.items():
-        wf = float(weights.get(fid, 1.0))
-        for lid in links:
-            if lid not in capacities:
-                raise KeyError(f"flow {fid!r} crosses unknown link {lid!r}")
-            link_load[lid] = link_load.get(lid, 0.0) + wf
-
-    rates: dict[Hashable, float] = {}
-    for fid, links in flow_links.items():
-        if len(links) == 0:
-            rates[fid] = _INF
-            continue
-        wf = float(weights.get(fid, 1.0))
         best = None
         for lid in links:
             offer = capacities[lid] * wf / link_load[lid]

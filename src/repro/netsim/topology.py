@@ -191,9 +191,7 @@ class Topology:
         Returns an empty list when ``src == dst``.  Raises
         :class:`NoRouteError` when no healthy path exists.  Results are
         cached per ``(src, dst)`` pair until the next epoch bump, so an
-        unchanged topology never re-runs pathfinding;
-        :meth:`_reference_route` is the uncached oracle the differential
-        tests compare against.
+        unchanged topology never re-runs :meth:`_find_route`.
         """
         if src == dst:
             return []
@@ -203,16 +201,16 @@ class Topology:
             self.route_cache_hits += 1
             return cached
         self.route_cache_misses += 1
-        links = self._reference_route(src, dst)
+        links = self._find_route(src, dst)
         self._route_cache[key] = links
         return links
 
-    def _reference_route(self, src: str, dst: str) -> list[Link]:
-        """Uncached pathfinding over the healthy subgraph (oracle).
+    def _find_route(self, src: str, dst: str) -> list[Link]:
+        """Uncached min-latency pathfinding over the healthy subgraph.
 
-        This is the actual shortest-path computation :meth:`route`
-        memoizes.  ``tests/netsim/test_differential.py`` calls it directly
-        to prove cached answers never go stale across epoch bumps.
+        This is the shortest-path computation :meth:`route` memoizes.
+        ``tests/netsim/test_differential.py`` calls it directly to prove
+        cached answers never go stale across epoch bumps.
         """
         if src == dst:
             return []

@@ -208,6 +208,8 @@ class TestMalformedEnvelope:
         {"op": "batch", "args": [1, 2]},
         {"op": "auth", "args": [1, 2]},
         {"op": "ping", "tenant": ["public"]},
+        {"op": "nope"},
+        {"op": "stall"},  # a debug op, unknown while debug_ops is off
     ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
     def test_one_bad_request_reply_and_connection_survives(self, fields, caplog):
         async def scenario(server, _client):

@@ -193,6 +193,20 @@ class TestPersistence:
         assert loaded.tagged("raw")
         assert loaded.stats() == store.stats()
 
+    def test_step_ids_keep_counting_after_load(self, tmp_path):
+        store = _store()
+        _register(store, 1)
+        first = store.add_processing("img-1", "stats", {}, {}, 0.0, 1.0)
+        path = tmp_path / "md.jsonl"
+        store.save(path)
+        loaded = MetadataStore.load(path)
+        second = loaded.add_processing("img-1", "stats", {}, {}, 1.0, 2.0,
+                                       parent=first.step_id)
+        record = loaded.get("img-1")
+        assert second.step_id != first.step_id
+        assert [s.step_id for s in record.chain(second.step_id)] == [
+            first.step_id, second.step_id]
+
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"kind": "something-else"}\n')

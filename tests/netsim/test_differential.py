@@ -1,21 +1,23 @@
-"""Differential tests: the incremental engine vs the naive references.
+"""Differential tests: the production netsim engine vs the naive oracles.
 
-PR 5's netsim optimizations are only trustworthy because every one of them
-is backed by a retained naive twin and an *exact*-equality test:
+The netsim optimizations are only trustworthy because every one of them is
+backed by a naive twin and an *exact*-equality test.  The twins live beside
+these tests in ``tests/netsim/reference.py``, not in ``src/``:
 
 * :func:`repro.netsim.fairshare.maxmin_rates` (cached weight sums, frozen
   collection from saturated links) against
-  :func:`~repro.netsim.fairshare._reference_maxmin_rates` — bit-identical
+  :func:`~tests.netsim.reference.reference_maxmin_rates` — bit-identical
   outputs on randomized scenarios;
 * :func:`repro.netsim.fairshare.equal_split_rates` against its naive twin;
 * :meth:`Topology.route` (epoch-keyed cache) against
-  :meth:`Topology._reference_route` (uncached pathfinding) across random
-  failure/repair sequences;
-* the full incremental :class:`Network` engine (persistent solver inputs,
-  batched same-instant solves, skip-when-clean) against
-  ``Network(engine="reference")`` — the seed repo's rebuild-per-event
-  path — on random arrival/departure/failure workloads, comparing
-  completion timestamps and delivered bytes exactly.
+  :meth:`Topology._find_route` (the uncached pathfinding it memoizes)
+  across random failure/repair sequences;
+* the full :class:`Network` engine (persistent solver inputs, batched
+  same-instant solves, skip-when-clean, the vectorised solver) against
+  :class:`~tests.netsim.reference.ReferenceNetwork` — the seed repo's
+  rebuild-per-event path — on random arrival/departure/failure workloads
+  under both sharing models, comparing completion timestamps and delivered
+  bytes exactly.
 """
 
 import pytest
@@ -24,11 +26,11 @@ from hypothesis import strategies as st
 
 from repro.simkit import Simulator
 from repro.netsim import Network, NoRouteError, Topology
-from repro.netsim.fairshare import (
-    _reference_equal_split_rates,
-    _reference_maxmin_rates,
-    equal_split_rates,
-    maxmin_rates,
+from repro.netsim.fairshare import HAVE_NUMPY, equal_split_rates, maxmin_rates
+from tests.netsim.reference import (
+    ReferenceNetwork,
+    reference_equal_split_rates,
+    reference_maxmin_rates,
 )
 
 
@@ -64,7 +66,7 @@ class TestSolverDifferential:
     def test_maxmin_bit_identical_to_reference(self, scenario):
         flows, caps, weights = scenario
         fast = maxmin_rates(flows, caps, weights)
-        naive = _reference_maxmin_rates(flows, caps, weights)
+        naive = reference_maxmin_rates(flows, caps, weights)
         # Exact equality, not approx: the solvers mirror each other's
         # arithmetic order, and cross-process determinism depends on it.
         assert fast == naive
@@ -74,7 +76,7 @@ class TestSolverDifferential:
     def test_equal_split_bit_identical_to_reference(self, scenario):
         flows, caps, weights = scenario
         fast = equal_split_rates(flows, caps, weights)
-        naive = _reference_equal_split_rates(flows, caps, weights)
+        naive = reference_equal_split_rates(flows, caps, weights)
         assert fast == naive
 
     def test_duplicate_link_on_path_matches(self):
@@ -82,7 +84,7 @@ class TestSolverDifferential:
         # implementations (degenerate but must not diverge or crash).
         flows = {"loopy": ["L", "L"], "plain": ["L"]}
         caps = {"L": 12.0}
-        assert maxmin_rates(flows, caps) == _reference_maxmin_rates(flows, caps)
+        assert maxmin_rates(flows, caps) == reference_maxmin_rates(flows, caps)
 
 
 # -- topology: cached route vs uncached oracle -------------------------------
@@ -137,7 +139,7 @@ class TestRouteCacheDifferential:
         def check_all():
             for src, dst in pairs:
                 try:
-                    oracle = topo._reference_route(src, dst)
+                    oracle = topo._find_route(src, dst)
                 except NoRouteError:
                     with pytest.raises(NoRouteError):
                         topo.route(src, dst)
@@ -174,9 +176,12 @@ class TestRouteCacheDifferential:
         assert topo.route_cache_misses == 2
 
 
-# -- full engine: incremental Network vs reference Network --------------------
+# -- full engine: Network vs ReferenceNetwork --------------------------------
 
 _ENDPOINTS = [f"n{i}" for i in range(_N_NODES)]
+
+#: ``1`` sends every max-min solve through the vectorised solver.
+_VECTOR_THRESHOLDS = [None, 1] if HAVE_NUMPY else [None]
 
 
 @st.composite
@@ -186,7 +191,7 @@ def _workload(draw):
     ops = []
     for _ in range(n_ops):
         # Zero delays included on purpose: they exercise same-instant
-        # arrival batching in the incremental engine.
+        # arrival batching in the production engine.
         delay = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 7.5]))
         kind = draw(
             st.sampled_from(["xfer", "xfer", "xfer", "fail_link", "repair_link"])
@@ -202,10 +207,9 @@ def _workload(draw):
     return ops
 
 
-def _run_workload(engine: str, ops) -> list[tuple]:
-    """Run one op sequence on one engine; return the completion log."""
-    sim = Simulator(seed=99)
-    net = Network(sim, _mesh(), engine=engine)
+def _run_workload(net: Network, ops) -> list[tuple]:
+    """Run one op sequence on one network; return the completion log."""
+    sim = net.sim
     log: list[tuple] = []
 
     def watch(tag, event):
@@ -241,26 +245,28 @@ def _run_workload(engine: str, ops) -> list[tuple]:
 
 
 class TestEngineDifferential:
-    @given(_workload())
+    @given(ops=_workload(), sharing=st.sampled_from(["maxmin", "equal"]),
+           vector_threshold=st.sampled_from(_VECTOR_THRESHOLDS))
     # A link fails at the instant a flow crossing it delivers its last byte.
-    @example([(0.0, "xfer", ("n4", "n5", 300.0, 1.0)),
-              (3.0, "xfer", ("n0", "n1", 1.0, 1.0)),
-              (0.0, "fail_link", 4)])
-    @settings(max_examples=60, deadline=None)
-    def test_incremental_engine_matches_reference(self, ops):
-        fast = _run_workload("incremental", ops)
-        naive = _run_workload("reference", ops)
-        # Exact comparison of completion timestamps and sizes: the
-        # incremental engine must be an invisible optimization.
+    @example(ops=[(0.0, "xfer", ("n4", "n5", 300.0, 1.0)),
+                  (3.0, "xfer", ("n0", "n1", 1.0, 1.0)),
+                  (0.0, "fail_link", 4)],
+             sharing="maxmin", vector_threshold=None)
+    @settings(max_examples=120, deadline=None)
+    def test_incremental_engine_matches_reference(self, ops, sharing,
+                                                  vector_threshold):
+        fast = _run_workload(
+            Network(Simulator(seed=99), _mesh(), sharing=sharing,
+                    vector_threshold=vector_threshold), ops)
+        naive = _run_workload(
+            ReferenceNetwork(Simulator(seed=99), _mesh(), sharing=sharing), ops)
+        # Exact comparison of completion timestamps and sizes: every
+        # production optimization must be invisible.
         assert fast == naive
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Network(Simulator(), _mesh(), engine="bogus")
 
     def test_reference_engine_counts_every_solve(self):
         sim = Simulator(seed=1)
-        net = Network(sim, _mesh(), engine="reference")
+        net = ReferenceNetwork(sim, _mesh())
         net.transfer("n0", "n2", 100.0)
         net.transfer("n0", "n2", 100.0)
         sim.run()

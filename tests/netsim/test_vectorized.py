@@ -5,7 +5,7 @@ equality with the scalar solvers — not tolerance equality — on every
 topology: the dense numpy formulation replays the identical IEEE
 operations in the identical order (see its docstring for the argument).
 These tests hold it to that claim on randomized scenarios, and check that
-:class:`~repro.netsim.network.Network` actually switches engines at the
+:class:`~repro.netsim.network.Network` actually switches solvers at the
 flow-count threshold without changing a single completion time.
 """
 
@@ -17,10 +17,10 @@ from repro.simkit import Simulator
 from repro.netsim import Network, Topology
 from repro.netsim.fairshare import (
     HAVE_NUMPY,
-    _reference_maxmin_rates,
     maxmin_rates,
     vectorized_maxmin_rates,
 )
+from tests.netsim.reference import reference_maxmin_rates
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -51,7 +51,7 @@ def _solver_scenario(draw):
 def test_vectorized_equals_references_exactly(scenario):
     flows, caps, weights = scenario
     vec = vectorized_maxmin_rates(flows, caps, weights)
-    assert vec == _reference_maxmin_rates(flows, caps, weights)
+    assert vec == reference_maxmin_rates(flows, caps, weights)
     assert vec == maxmin_rates(flows, caps, weights)
 
 
@@ -68,7 +68,7 @@ def test_vectorized_empty_inputs():
     assert vectorized_maxmin_rates({}, {}, {}) == {}
 
 
-# -- Network engine selection ----------------------------------------------
+# -- Network solver selection ----------------------------------------------
 
 def _star_topology(n_hosts: int) -> Topology:
     topo = Topology()
@@ -99,25 +99,21 @@ def _run_flows(vector_threshold, n_flows=40, seed=3):
 def test_network_threshold_selects_vectorized_solver():
     scalar_times, scalar_net = _run_flows(vector_threshold=None)
     vector_times, vector_net = _run_flows(vector_threshold=8)
-    # The engine switch is invisible in the physics: every completion
+    # The solver switch is invisible in the physics: every completion
     # timestamp is bit-identical.
     assert vector_times == scalar_times
     assert scalar_net.vector_solves.value == 0
     assert vector_net.vector_solves.value > 0
-    # Below the threshold the scalar engine still runs (small flow sets).
+    # Below the threshold the scalar solver still runs (small flow sets).
     small_times, small_net = _run_flows(vector_threshold=10_000)
     assert small_net.vector_solves.value == 0
     assert small_times == scalar_times
 
 
-def test_network_threshold_ignored_for_equal_and_reference():
+def test_network_threshold_ignored_for_equal():
     sim = Simulator(seed=1)
     net = Network(sim, _star_topology(4), sharing="equal", vector_threshold=1)
     assert net._vector_threshold is None
-    sim2 = Simulator(seed=1)
-    ref = Network(sim2, _star_topology(4), engine="reference",
-                  vector_threshold=1)
-    assert ref._vector_threshold is None
 
 
 def test_vectorized_falls_back_without_numpy(monkeypatch):
