@@ -11,9 +11,11 @@ two arms:
 * **unbatched** — the same client with coalescing disabled: one frame,
   one admission pass, one store pass per op.
 
-Gates: at 32+ clients the batched arm must sustain >= 2x the unbatched
-requests/s; every arm must close its zero-silent-loss balance on both
-sides of the socket and leak no tasks or connections.  p99 latency must
+Gates: at every client count from 32 up the batched arm must sustain
+>= 2x the unbatched requests/s (the 1- and 8-client rows are printed for
+information: too few requests are in flight there to coalesce); every
+arm must close its zero-silent-loss balance on both sides of the socket
+and leak no tasks or connections.  p99 latency must
 stay inside the request deadline budget — the deadline machinery reused
 from the front door would otherwise fail requests visibly, never
 silently.
@@ -34,7 +36,7 @@ _TINY = os.environ.get("LSDF_BENCH_TINY", "") not in ("", "0")
 #: Client-count scaling ladder (logical clients sharing one pooled client).
 _CLIENTS = (1, 8, 32) if _TINY else (1, 8, 32, 128)
 _OPS = 20 if _TINY else 60
-#: The client count at which the batched >= 2x unbatched gate is applied.
+#: The smallest client count the batched >= 2x unbatched gate applies to.
 _GATE_CLIENTS = 32
 _BUDGET = 5.0
 
@@ -65,9 +67,11 @@ def test_e19_wire_scaling(benchmark, report):
         unbatched = results[clients]["unbatched"]
         speedup = (batched["throughput_rps"] / unbatched["throughput_rps"]
                    if unbatched["throughput_rps"] else 0.0)
+        # Below the gate client count too few requests are in flight to
+        # coalesce: those rows are informational, not the paper's claim.
         rows.append((
             f"{clients:3d} clients: batched vs unbatched",
-            ">= 2x at 32+ clients",
+            ">= 2x" if clients >= _GATE_CLIENTS else "- (below gate)",
             f"{speedup:.1f}x  ({_fmt_rps(batched)} vs {_fmt_rps(unbatched)})"))
     gate = results[_GATE_CLIENTS]
     rows.extend([
@@ -101,10 +105,13 @@ def test_e19_wire_scaling(benchmark, report):
             assert result["leaked_tasks"] == 0, label
             assert result["open_connections_after_close"] == 0, label
 
-    # Performance gates at the reference client count.
-    assert (gate["batched"]["throughput_rps"]
-            >= 2.0 * gate["unbatched"]["throughput_rps"]), (
-        gate["batched"]["throughput_rps"],
-        gate["unbatched"]["throughput_rps"])
+    # Performance gates: >= 2x at every client count from the gate up.
+    for clients in _CLIENTS:
+        if clients >= _GATE_CLIENTS:
+            arms = results[clients]
+            assert (arms["batched"]["throughput_rps"]
+                    >= 2.0 * arms["unbatched"]["throughput_rps"]), (
+                clients, arms["batched"]["throughput_rps"],
+                arms["unbatched"]["throughput_rps"])
     assert gate["batched"]["mean_batch_size"] > 1.0
     assert gate["batched"]["latency_p99_s"] < _BUDGET

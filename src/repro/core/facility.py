@@ -13,10 +13,12 @@ real and shared by the simulated subsystems.
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator, Optional, Sequence
 
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event
+from repro.telemetry.metrics import MetricsRegistry
 from repro.simkit import units
 from repro.netsim.builders import build_lsdf_backbone
 from repro.netsim.network import Network
@@ -199,7 +201,7 @@ class Facility:
                 store=self.metadata,
                 hsm=self.hsm,
                 adal=self.adal,
-                clock=lambda: self.sim.now,
+                clock=self.telemetry.clock,
             )
         )
 
@@ -232,9 +234,11 @@ class Facility:
             self.policy,
             tape=self.tape,
             namenode=self.hdfs.namenode,
-            clock=lambda: self.sim.now,
+            clock=self.telemetry.clock,
             hub=self.telemetry,
         )
+        sim, hdfs, stage_array = self.sim, self.hdfs, self.arrays[0]
+        stage_node = self.array_nodes[stage_array.name]
         self.convergence = ConvergenceDaemon(
             self.sim,
             self.policy,
@@ -242,7 +246,8 @@ class Facility:
             planner=self.durability.planner,
             resilience=self.resilience,
             tape=self.tape,
-            stager=lambda record: self.load_into_hdfs(
+            stager=lambda record: _stage_into_hdfs(
+                sim, hdfs, stage_array, stage_node,
                 hdfs_path(record), max(1.0, float(record.size))),
             enabled=cfg.policy_enabled,
         )
@@ -264,45 +269,24 @@ class Facility:
             queue_capacity=cfg.frontdoor_queue_capacity,
         )
 
-        # -- facility-level gauges ------------------------------------------------
-        # The glue-layer objects (metadata repository, topology) have no
-        # simulator of their own, so the composition root exposes their
-        # state on the shared registry.
-        reg = self.telemetry.registry
-        reg.gauge_fn("metadata.projects",
-                     lambda: float(self.metadata.stats()["projects"]),
-                     "Projects registered in the catalog")
-        reg.gauge_fn("metadata.datasets",
-                     lambda: float(self.metadata.stats()["datasets"]),
-                     "Dataset records in the catalog")
-        reg.gauge_fn("metadata.processing_records",
-                     lambda: float(self.metadata.stats()["processing_records"]),
-                     "Processing records in the catalog")
-        reg.gauge_fn("metadata.tags",
-                     lambda: float(self.metadata.stats()["tags"]),
-                     "Distinct tags in use")
-        reg.gauge_fn("metadata.bytes_catalogued",
-                     lambda: float(self.metadata.stats()["total_bytes"]),
-                     "Total bytes described by catalog records", unit="bytes")
-        reg.gauge_fn(
-            "net.routers_healthy",
-            lambda: float(sum(1 for r in self.names.routers
-                              if self.net.topology.node_is_up(r))),
-            "Backbone routers currently up")
-        reg.gauge_fn("net.routers_total",
-                     lambda: float(len(self.names.routers)),
-                     "Backbone routers in the topology")
-        for key, help_text in (
-            ("wal_records", "Records in the metadata WAL"),
-            ("wal_bytes", "Bytes in the metadata WAL"),
-            ("snapshots", "Metadata snapshots taken"),
-            ("crashes", "Metadata repository crashes injected"),
-            ("recoveries", "Metadata crash recoveries completed"),
-        ):
-            reg.gauge_fn(
-                f"metadata.{key}",
-                lambda k=key: float(self.metadata.durability_stats()[k]),
-                help_text)
+        _register_gauges(self.telemetry.registry, self.metadata, self.net,
+                         self.names.routers)
+        # Nothing above captures ``self``, so a dropped facility is freed
+        # by reference counting; the finalizer then stops its simulation.
+        self._finalizer = weakref.finalize(self, _teardown, self.sim,
+                                           self.telemetry)
+        self._finalizer.atexit = False  # at exit there is nothing to stop
+
+    def close(self) -> None:
+        """Stop this facility's simulation for good; idempotent.
+
+        Closes every live process and drops every queued event (see
+        :meth:`Simulator.close`), and detaches the telemetry callbacks
+        and subscribers.  The catalogue, the storage estate and every
+        counter stay readable.  Runs by itself once nothing references
+        the facility any more.
+        """
+        self._finalizer()
 
     # -- high-level operations -------------------------------------------------
     def ingest_pipeline(
@@ -355,14 +339,8 @@ class Facility:
         out to replicas over the shared network.
         """
         array = self.arrays[0] if array_name is None else self.pool.arrays[array_name]
-
-        def run() -> Generator:
-            read = array.read(size)
-            write = self.hdfs.write_file(hdfs_path, size, self.array_nodes[array.name])
-            yield self.sim.all_of([read, write])
-            return self.hdfs.namenode.file_blocks(hdfs_path)
-
-        return self.sim.process(run(), name=f"stage:{hdfs_path}")
+        return _stage_into_hdfs(self.sim, self.hdfs, array,
+                                self.array_nodes[array.name], hdfs_path, size)
 
     def transfer(self, src: str, dst: str, nbytes: float) -> Event:
         """Raw network transfer between any two facility nodes."""
@@ -459,3 +437,65 @@ class Facility:
         )
         kwargs.setdefault("retry_rng", self.resilience.rng.spawn("director"))
         return SimulatedDirector(self.sim, **kwargs)
+
+
+def _stage_into_hdfs(sim: Simulator, hdfs: HdfsCluster, array: DiskArray,
+                     node: str, hdfs_path: str, size: float) -> Event:
+    """The staging process behind :meth:`Facility.load_into_hdfs`."""
+
+    def run() -> Generator:
+        read = array.read(size)
+        write = hdfs.write_file(hdfs_path, size, node)
+        yield sim.all_of([read, write])
+        return hdfs.namenode.file_blocks(hdfs_path)
+
+    return sim.process(run(), name=f"stage:{hdfs_path}")
+
+
+def _register_gauges(reg: MetricsRegistry, metadata: DurableMetadataStore,
+                     net: Network, routers: list[str]) -> None:
+    """Expose the glue layer's state on the shared registry.
+
+    The metadata repository and the topology have no simulator of their
+    own, so the composition root registers their gauges.  A module
+    function, so that no callback can capture the facility.
+    """
+    reg.gauge_fn("metadata.projects",
+                 lambda: float(metadata.stats()["projects"]),
+                 "Projects registered in the catalog")
+    reg.gauge_fn("metadata.datasets",
+                 lambda: float(metadata.stats()["datasets"]),
+                 "Dataset records in the catalog")
+    reg.gauge_fn("metadata.processing_records",
+                 lambda: float(metadata.stats()["processing_records"]),
+                 "Processing records in the catalog")
+    reg.gauge_fn("metadata.tags",
+                 lambda: float(metadata.stats()["tags"]),
+                 "Distinct tags in use")
+    reg.gauge_fn("metadata.bytes_catalogued",
+                 lambda: float(metadata.stats()["total_bytes"]),
+                 "Total bytes described by catalog records", unit="bytes")
+    reg.gauge_fn(
+        "net.routers_healthy",
+        lambda: float(sum(1 for r in routers if net.topology.node_is_up(r))),
+        "Backbone routers currently up")
+    reg.gauge_fn("net.routers_total",
+                 lambda: float(len(routers)),
+                 "Backbone routers in the topology")
+    for key, help_text in (
+        ("wal_records", "Records in the metadata WAL"),
+        ("wal_bytes", "Bytes in the metadata WAL"),
+        ("snapshots", "Metadata snapshots taken"),
+        ("crashes", "Metadata repository crashes injected"),
+        ("recoveries", "Metadata crash recoveries completed"),
+    ):
+        reg.gauge_fn(
+            f"metadata.{key}",
+            lambda k=key: float(metadata.durability_stats()[k]),
+            help_text)
+
+
+def _teardown(sim: Simulator, hub: TelemetryHub) -> None:
+    """What :meth:`Facility.close` does; holds no reference to the facility."""
+    sim.close()
+    hub.close()

@@ -207,6 +207,16 @@ class DurableMetadataStore(MetadataStore):
         self._maybe_snapshot()
         return records
 
+    def _reset(self) -> None:
+        super()._reset()
+        # Each record's canonical JSON (UTF-8) as the last checkpoint wrote
+        # it; a record without one is stale (new, or changed since).
+        self._fragments: dict[str, bytes] = {}
+
+    def _index_record(self, record: DatasetRecord) -> None:
+        super()._index_record(record)
+        self._fragments.pop(record.dataset_id, None)
+
     def add_processing(
         self,
         dataset_id: str,
@@ -235,17 +245,20 @@ class DurableMetadataStore(MetadataStore):
             dataset_id, name, params, results, started, finished,
             status=status, parent=parent,
         )
+        self._fragments.pop(dataset_id, None)
         self._maybe_snapshot()
         return step
 
     def tag(self, dataset_id: str, *tags: str) -> None:
         self._log("tag", {"dataset_id": dataset_id, "tags": list(tags)})
         super().tag(dataset_id, *tags)
+        self._fragments.pop(dataset_id, None)
         self._maybe_snapshot()
 
     def untag(self, dataset_id: str, *tags: str) -> None:
         self._log("untag", {"dataset_id": dataset_id, "tags": list(tags)})
         super().untag(dataset_id, *tags)
+        self._fragments.pop(dataset_id, None)
         self._maybe_snapshot()
 
     def index_field(self, name: str) -> None:
@@ -263,6 +276,11 @@ class DurableMetadataStore(MetadataStore):
         hence their :meth:`state_bytes`) are equal — the recovery tests
         compare these byte-for-byte.
         """
+        return dict(self._head(), datasets=[
+            record.to_dict() for record in self._datasets.values()])
+
+    def _head(self) -> dict:
+        """:meth:`state_dict` without the datasets."""
         return {
             "kind": _SNAPSHOT_KIND,
             "version": 1,
@@ -277,18 +295,41 @@ class DurableMetadataStore(MetadataStore):
                 }
                 for info in self._projects.values()
             ],
-            "datasets": [record.to_dict() for record in self._datasets.values()],
             "indexed_fields": sorted(self._field_indexes),
             "step_seq": self._step_seq,
         }
 
     def state_bytes(self) -> bytes:
-        """Canonical byte serialisation of :meth:`state_dict`."""
+        """Canonical byte serialisation of :meth:`state_dict`.
+
+        One ``json.dumps`` and stores no fragments: comparing two stores'
+        states must not leave a copy of each catalogue behind, and a
+        splice would cost one more catalogue-sized buffer.
+        """
         return json.dumps(self.state_dict(), sort_keys=True).encode("utf-8")
 
     def snapshot(self) -> bytes:
-        """Checkpoint: persist the full state, then clear the WAL."""
-        data = self.state_bytes()
+        """Checkpoint: persist the full state, then clear the WAL.
+
+        Writes exactly :meth:`state_bytes`, but re-encodes only the
+        records changed since the last checkpoint; the rest are spliced
+        in from their stored fragments.  ``"datasets"`` sorts before every
+        head key, so the document is the datasets array followed by the
+        rest of the encoded head.  One join builds it in a single buffer.
+        """
+        fragments = self._fragments
+        pieces = [b'{"datasets": [']
+        for dataset_id, record in self._datasets.items():
+            fragment = fragments.get(dataset_id)
+            if fragment is None:
+                fragment = fragments[dataset_id] = json.dumps(
+                    record.to_dict(), sort_keys=True).encode("utf-8")
+            pieces += (fragment, b", ")
+        if len(pieces) > 1:
+            pieces.pop()  # no separator after the last record
+        head = json.dumps(self._head(), sort_keys=True).encode("utf-8")
+        pieces += (b"], ", head[1:])
+        data = b"".join(pieces)
         self.wal.checkpoint(data)
         self._appends_since_snapshot = 0
         self.snapshots += 1
@@ -344,6 +385,10 @@ class DurableMetadataStore(MetadataStore):
             if snapshot is not None:
                 self._load_state(snapshot)
             result = self.wal.replay()
+            # Cut the untrusted tail off the medium: a record appended
+            # behind it would be unreadable at the next recovery.
+            if result.discarded_bytes:
+                self.wal.storage.truncate(result.discarded_bytes)
             for record in result.records:
                 try:
                     self._apply(record.op, record.args)

@@ -12,6 +12,7 @@ mean-time-to-detect bookkeeping the Durability report section renders.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional, Sequence
 
 from repro.adal.api import BackendRegistry
@@ -26,8 +27,9 @@ from repro.resilience.policy import RetryPolicy
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event
 from repro.simkit.rand import RandomSource
-from repro.telemetry.events import ERROR
+from repro.telemetry.events import ERROR, EventBus
 from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.metrics import Counter, Summary
 
 
 class DurabilityError(Exception):
@@ -101,7 +103,6 @@ class DurabilityKit:
             bandwidth=scrub_bandwidth, interval=scrub_interval,
             archive=self.archive if enabled else None,
             planner=self.planner if enabled else None,
-            on_detect=self._note_detection,
             retry_policy=self.retry_policy,
             retry_rng=self.rng.spawn("scrub-retry"),
         )
@@ -131,6 +132,11 @@ class DurabilityKit:
         reg.gauge_fn("durability.archive_objects",
                      lambda: float(len(self.archive.listdir(""))),
                      "Verified copies held by the durability archive")
+        # Detections go to a function of the bookkeeping alone: a bound
+        # method would make kit <-> scrubber a reference cycle.
+        self._note_detection = self.scrubber.on_detect = partial(
+            _note_detection, self._corrupted_at, self.corruptions_detected,
+            self.detect_latency, self._hub.bus)
 
     # -- chaos hooks ----------------------------------------------------------
     def corrupt_objects(
@@ -182,19 +188,6 @@ class DurabilityKit:
             self.corruptions_injected.add(1)
             corrupted.append(path)
         return corrupted
-
-    def _note_detection(self, finding: Finding) -> None:
-        if finding.kind != CHECKSUM_MISMATCH:
-            return  # dark/lost/under-replicated findings are not corruptions
-        injected = self._corrupted_at.pop(finding.subject, None)
-        self.corruptions_detected.add(1)
-        if injected is not None:
-            self.detect_latency.record(finding.detected_at - injected)
-        self._hub.bus.publish(
-            "durability.corruption_found", subject=finding.subject,
-            severity=ERROR, detail=finding.detail,
-            detect_latency=(finding.detected_at - injected
-                            if injected is not None else None))
 
     # -- crash / recovery -------------------------------------------------------
     def crash_metadata(self, torn_tail_bytes: int = 0) -> None:
@@ -266,3 +259,19 @@ class DurabilityKit:
             f"scrub_passes={len(self.scrubber.passes)} "
             f"detected={int(self.corruptions_detected.value)}>"
         )
+
+
+def _note_detection(corrupted_at: dict[str, float], detected: Counter,
+                    latency: Summary, bus: EventBus, finding: Finding) -> None:
+    """Book one finding: MTTD for an injected corruption, and the event."""
+    if finding.kind != CHECKSUM_MISMATCH:
+        return  # dark/lost/under-replicated findings are not corruptions
+    injected = corrupted_at.pop(finding.subject, None)
+    detected.add(1)
+    if injected is not None:
+        latency.record(finding.detected_at - injected)
+    bus.publish(
+        "durability.corruption_found", subject=finding.subject,
+        severity=ERROR, detail=finding.detail,
+        detect_latency=(finding.detected_at - injected
+                        if injected is not None else None))

@@ -55,6 +55,8 @@ class Simulator:
         self._sched = make_scheduler(scheduler)
         self._seq = 0
         self._active_process: Optional[Process] = None
+        # Live processes in start order (what close() shuts down).
+        self._processes: dict[Process, None] = {}
         self.random = RandomSource(seed)
         #: The telemetry hub for this simulation, attached lazily by
         #: :meth:`repro.telemetry.TelemetryHub.for_sim` (simkit itself
@@ -234,6 +236,25 @@ class Simulator:
         if stop_time is not _INFINITY and stop_time > self._now:
             self._now = stop_time
         return None
+
+    def close(self) -> None:
+        """End this simulation for good; idempotent.
+
+        Closes the generator of every live process (running its
+        ``finally`` blocks) except the one calling, then drops every
+        queued event.  A process blocked forever on a store or a
+        resource otherwise keeps its generator frame — and whatever that
+        frame references — alive in a reference cycle.  Afterwards
+        :meth:`run` returns at once.
+        """
+        while self._processes:
+            processes, self._processes = self._processes, {}
+            for process in processes:
+                if process is not self._active_process:
+                    process._gen.close()
+        sched = self._sched
+        while sched:
+            sched.pop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.6g} queued={len(self._sched)}>"

@@ -228,6 +228,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._gen = generator
         self._target: Optional[Event] = None
+        sim._processes[self] = None  # live until _finish
         # Bootstrap: resume once at the current time.
         boot = Event(sim, name=f"init:{self.name}")
         boot.callbacks.append(self._resume)
@@ -282,14 +283,12 @@ class Process(Event):
                     else:
                         next_event = self._gen.send(event._value)
                 except StopIteration as stop:
-                    self._state = Event.PENDING  # allow succeed()
-                    self.succeed(stop.value, priority=URGENT)
+                    self._finish(stop.value, None)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    self._state = Event.PENDING
-                    self.fail(exc, priority=URGENT)
+                    self._finish(None, exc)
                     return
 
                 if not isinstance(next_event, Event):
@@ -299,12 +298,10 @@ class Process(Event):
                     try:
                         self._gen.throw(error)
                     except StopIteration as stop:
-                        self._state = Event.PENDING
-                        self.succeed(stop.value, priority=URGENT)
+                        self._finish(stop.value, None)
                         return
                     except BaseException as exc2:
-                        self._state = Event.PENDING
-                        self.fail(exc2, priority=URGENT)
+                        self._finish(None, exc2)
                         return
                     continue
                 if next_event._state == Event.PROCESSED:
@@ -316,6 +313,15 @@ class Process(Event):
                 return
         finally:
             self.sim._active_process = None
+
+    def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
+        """The generator ended: leave the live set and trigger this event."""
+        self.sim._processes.pop(self, None)
+        self._state = Event.PENDING  # allow succeed()/fail()
+        if exception is None:
+            self.succeed(value, priority=URGENT)
+        else:
+            self.fail(exception, priority=URGENT)
 
 
 class _Condition(Event):

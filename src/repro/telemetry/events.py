@@ -143,6 +143,10 @@ class EventBus:
         if subscription in self._subscriptions:
             self._subscriptions.remove(subscription)
 
+    def clear_subscriptions(self) -> None:
+        """Detach every subscriber (and whatever its callback captured)."""
+        self._subscriptions.clear()
+
     # -- queries ------------------------------------------------------------
     def events(self, kind: Optional[str] = None, subject: Optional[str] = None,
                since: Optional[float] = None) -> list[FacilityEvent]:

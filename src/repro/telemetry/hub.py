@@ -77,6 +77,13 @@ class TelemetryHub:
         self._name_sequences[prefix] = n + 1
         return f"{prefix}-{n}"
 
+    def close(self) -> None:
+        """Release every callback into the instrumented objects: callback
+        gauges keep their last reading, subscribers are detached.  What
+        the hub recorded stays readable."""
+        self.registry.freeze_callbacks()
+        self.bus.clear_subscriptions()
+
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TelemetryHub enabled={self.enabled} "
                 f"metrics={len(self.registry)} events={self.bus.published}>")

@@ -398,6 +398,16 @@ class MetricsRegistry:
         """The exact-sample summary for ``name``/``labels``."""
         return self._family(name, SUMMARY, help, unit).child(labels)  # type: ignore[return-value]
 
+    def freeze_callbacks(self) -> None:
+        """Turn every callback gauge into a direct one holding its current
+        reading, dropping the callback and whatever it captured."""
+        for family in self._families.values():
+            if family.kind == GAUGE:
+                for gauge in family._children.values():
+                    if gauge._fn is not None:
+                        gauge._value = float(gauge._fn())
+                        gauge._fn = None
+
     # -- queries ------------------------------------------------------------
     def has(self, name: str) -> bool:
         """Whether any instrument is registered under ``name``."""

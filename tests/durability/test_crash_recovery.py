@@ -72,6 +72,21 @@ class TestCrashRecoverDeterministic:
         assert store.state_bytes() == prefix_state
         assert store.discarded_tail_bytes > 0
 
+    def test_writes_after_a_torn_recovery_survive_the_next_crash(self):
+        """Recovery cuts the torn tail off the medium; a record appended
+        behind it would be unreadable at the next recovery."""
+        store = _fresh_store()
+        _populate(store)
+        store.tag("d1", "late")
+        store.crash(torn_tail_bytes=3)
+        store.recover()
+        store.tag("d2", "acknowledged")
+        before = store.state_bytes()
+        store.crash()
+        store.recover()
+        assert store.state_bytes() == before
+        assert "acknowledged" in store.get("d2").tags
+
     def test_recovery_after_snapshot_replays_only_the_delta(self):
         store = _fresh_store()
         _populate(store)

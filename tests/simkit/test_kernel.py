@@ -443,6 +443,43 @@ def test_determinism_same_seed_same_trace():
     assert run_once() == run_once()
 
 
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_close_ends_every_live_process_and_empties_the_queue(scheduler):
+    from repro.simkit import Store
+
+    sim = Simulator(scheduler=scheduler)
+    store = Store(sim)
+    cleaned = []
+
+    def blocked(name):
+        try:
+            yield store.get()  # nothing is ever put: blocked for good
+        finally:
+            cleaned.append(name)
+
+    def ticking():
+        while True:
+            yield sim.timeout(1.0)
+
+    def brief():
+        yield sim.timeout(0.1)
+
+    for name in ("a", "b"):
+        sim.process(blocked(name))
+    ticker = sim.process(ticking())
+    sim.run(until=3.5)
+    finished = sim.process(brief())
+    sim.run(until=4.0)
+    assert finished.processed and finished not in sim._processes
+    sim.close()
+    sim.close()  # idempotent
+    assert cleaned == ["a", "b"]
+    assert not sim._processes and not sim._sched
+    sim.run()  # returns at once: nothing is queued
+    assert sim.now == 4.0
+    assert ticker.is_alive  # closed, never triggered
+
+
 class TestHotPathKernel:
     """PR 5 kernel optimizations: lazy names, Callback events, fast run loop."""
 
