@@ -27,23 +27,26 @@ Public surface
     Bundled auth mechanisms.
 """
 
-from repro.adal.errors import (
-    AdalError,
-    AuthError,
-    BackendNotFoundError,
-    BackendUnavailableError,
-    ObjectExistsError,
-    ObjectNotFoundError,
-    PermissionDeniedError,
-)
-from repro.adal.api import AdalClient, AdalUrl, BackendRegistry, ObjectInfo, StorageBackend
-from repro.adal.auth import AclAuthorizer, AnonymousAuth, Credentials, Principal, TokenAuth
-from repro.adal.backends.memory import MemoryBackend
-from repro.adal.backends.posix import PosixBackend
-from repro.adal.backends.tiered import TieredBackend
-from repro.adal.backends.hdfs import HdfsBackend
-from repro.adal.backends.object_store import ObjectStoreBackend
-from repro.adal.backends.faulty import FaultyBackend
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adal.errors": (
+        "AdalError", "AuthError", "BackendNotFoundError",
+        "BackendUnavailableError", "ObjectExistsError", "ObjectNotFoundError",
+        "PermissionDeniedError"),
+    "repro.adal.api": (
+        "AdalClient", "AdalUrl", "BackendRegistry", "ObjectInfo",
+        "StorageBackend"),
+    "repro.adal.auth": (
+        "AclAuthorizer", "AnonymousAuth", "Credentials", "Principal",
+        "TokenAuth"),
+    "repro.adal.backends.memory": ("MemoryBackend",),
+    "repro.adal.backends.posix": ("PosixBackend",),
+    "repro.adal.backends.tiered": ("TieredBackend",),
+    "repro.adal.backends.hdfs": ("HdfsBackend",),
+    "repro.adal.backends.object_store": ("ObjectStoreBackend",),
+    "repro.adal.backends.faulty": ("FaultyBackend",),
+})
 
 __all__ = [
     "AclAuthorizer",

@@ -1,11 +1,15 @@
 """Bundled ADAL storage backends."""
 
-from repro.adal.backends.memory import MemoryBackend
-from repro.adal.backends.posix import PosixBackend
-from repro.adal.backends.tiered import TieredBackend
-from repro.adal.backends.hdfs import HdfsBackend
-from repro.adal.backends.object_store import Bucket, ObjectStoreBackend
-from repro.adal.backends.faulty import FaultyBackend
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adal.backends.memory": ("MemoryBackend",),
+    "repro.adal.backends.posix": ("PosixBackend",),
+    "repro.adal.backends.tiered": ("TieredBackend",),
+    "repro.adal.backends.hdfs": ("HdfsBackend",),
+    "repro.adal.backends.object_store": ("Bucket", "ObjectStoreBackend"),
+    "repro.adal.backends.faulty": ("FaultyBackend",),
+})
 
 __all__ = [
     "Bucket",

@@ -14,31 +14,21 @@ ADAL backends — is the same synchronous code the deterministic simulated
 facility uses.  Nothing here leaks host time back into simkit.
 """
 
-from repro.adal.wire.bench import build_bench_store, run_wire_bench
-from repro.adal.wire.client import BATCHABLE_OPS, WireClient
-from repro.adal.wire.errors import (
-    PoolExhaustedError,
-    RequestRejectedError,
-    WireClosedError,
-    WireError,
-    WireProtocolError,
-)
-from repro.adal.wire.protocol import (
-    MAX_FRAME_BYTES,
-    MAX_QUERY_DEPTH,
-    OPS,
-    encode_frame,
-    error_envelope,
-    error_from,
-    error_kind,
-    limit_from_wire,
-    query_from_wire,
-    query_to_wire,
-    raise_for_error,
-    read_frame,
-    write_frame,
-)
-from repro.adal.wire.server import WireRequest, WireServer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adal.wire.bench": ("build_bench_store", "run_wire_bench"),
+    "repro.adal.wire.client": ("BATCHABLE_OPS", "WireClient"),
+    "repro.adal.wire.errors": (
+        "PoolExhaustedError", "RequestRejectedError", "WireClosedError",
+        "WireError", "WireProtocolError"),
+    "repro.adal.wire.protocol": (
+        "MAX_FRAME_BYTES", "MAX_QUERY_DEPTH", "OPS", "encode_frame",
+        "error_envelope", "error_from", "error_kind", "limit_from_wire",
+        "query_from_wire", "query_to_wire", "raise_for_error", "read_frame",
+        "write_frame"),
+    "repro.adal.wire.server": ("WireRequest", "WireServer"),
+})
 
 __all__ = [
     "BATCHABLE_OPS",

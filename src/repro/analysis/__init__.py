@@ -23,12 +23,16 @@ enforced invariants:
   tripwire (``python -m repro.analysis.sanitize``).
 """
 
-from repro.analysis.findings import Finding, Severity, TraceHop
-from repro.analysis.engine import Linter, SourceModule
-from repro.analysis.rules import Rule, all_rules, get_rule, register
-from repro.analysis.baseline import Baseline
-from repro.analysis.trace import TraceEntry, TraceRecorder
-from repro.analysis.tripwire import UnseededRandomnessError, rng_tripwire
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.findings": ("Finding", "Severity", "TraceHop"),
+    "repro.analysis.engine": ("Linter", "SourceModule"),
+    "repro.analysis.rules": ("Rule", "all_rules", "get_rule", "register"),
+    "repro.analysis.baseline": ("Baseline",),
+    "repro.analysis.trace": ("TraceEntry", "TraceRecorder"),
+    "repro.analysis.tripwire": ("UnseededRandomnessError", "rng_tripwire"),
+})
 
 # The runtime sanitizer entry points (check_determinism, check_races,
 # DeterminismReport, RaceReport) live in repro.analysis.sanitize and are

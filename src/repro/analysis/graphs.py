@@ -222,8 +222,19 @@ def _find_repo_root(paths: Iterable[str | Path]) -> Path:
 # import graph
 # ---------------------------------------------------------------------------
 
+def _is_lazy_exports(node: ast.AST) -> bool:
+    """Whether ``node`` is a package's ``lazy_exports(__name__, {...})``
+    call, whose literal keys name the submodules it re-exports from."""
+    return (isinstance(node, ast.Call)
+            and dotted(node.func) == "lazy_exports"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Dict)
+            and all(isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    for key in node.args[1].keys))
+
+
 class ImportGraph:
-    """Project-internal module dependency edges."""
+    """Project-internal module dependency edges (a package's lazy
+    re-exports count as imports of the submodules they name)."""
 
     def __init__(self, project: Project):
         self.project = project
@@ -244,6 +255,9 @@ class ImportGraph:
                         hit = self._known_prefix(full, known)
                         targets.update(
                             hit or self._known_prefix(node.module, known))
+                elif _is_lazy_exports(node):
+                    for key in node.args[1].keys:
+                        targets.update(self._known_prefix(key.value, known))
             targets.discard(name)
             self.imports[name] = sorted(targets)
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.simkit import Simulator, units
+from repro.simkit import units
 from repro.simkit.units import fmt_bytes, fmt_duration, fmt_rate
 
 
@@ -33,6 +33,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
     from repro.netsim import Network, Topology
+    from repro.simkit import Simulator
 
     sim = Simulator()
     topo = Topology()
@@ -70,6 +71,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_mapreduce(args: argparse.Namespace) -> int:
     from repro.hdfs import HdfsCluster
     from repro.mapreduce import JobSpec, MapReduceSim
+    from repro.simkit import Simulator
 
     sim = Simulator(seed=args.seed)
     cluster = HdfsCluster.build(sim, racks=args.racks,

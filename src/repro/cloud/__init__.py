@@ -20,9 +20,14 @@ Public surface
     Placement policies by name.
 """
 
-from repro.cloud.model import Host, VirtualMachine, VMState, VMTemplate
-from repro.cloud.scheduler import SCHEDULERS, first_fit, pack, rank_free_cpu
-from repro.cloud.controller import CloudController, CloudError
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cloud.model": ("Host", "VirtualMachine", "VMState", "VMTemplate"),
+    "repro.cloud.scheduler": (
+        "SCHEDULERS", "first_fit", "pack", "rank_free_cpu"),
+    "repro.cloud.controller": ("CloudController", "CloudError"),
+})
 
 __all__ = [
     "CloudController",

@@ -12,20 +12,19 @@ to all of it.
 (2 PB now, 6 PB in 2012, community growth to 6 PB/year) — experiment E2.
 """
 
-from repro.core.config import ArraySpec, FacilityConfig, lsdf_2011_config
-from repro.core.capacity import LSDF_PROCUREMENT, CapacityPlanner, CapacityRow
-from repro.core.facility import Facility
-from repro.core.reporting import FacilityReport, ReportSection
-from repro.core.chaos import (
-    ChaosSchedule,
-    Incident,
-    durability_drill,
-    overload_drill,
-    policy_drill,
-    resilience_drill,
-    rolling_node_failures,
-    router_flap,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("ArraySpec", "FacilityConfig", "lsdf_2011_config"),
+    "repro.core.capacity": (
+        "LSDF_PROCUREMENT", "CapacityPlanner", "CapacityRow"),
+    "repro.core.facility": ("Facility",),
+    "repro.core.reporting": ("FacilityReport", "ReportSection"),
+    "repro.core.chaos": (
+        "ChaosSchedule", "Incident", "durability_drill", "overload_drill",
+        "policy_drill", "resilience_drill", "rolling_node_failures",
+        "router_flap"),
+})
 
 __all__ = [
     "ArraySpec",

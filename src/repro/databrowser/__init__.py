@@ -20,14 +20,15 @@ Public surface
     The tag -> workflow automation.
 """
 
-from repro.databrowser.browser import DataBrowser, Listing
-from repro.databrowser.triggers import (
-    TriggerEngine,
-    TriggerEvent,
-    TriggerFailure,
-    TriggerRule,
-)
-from repro.databrowser.webgui import export_site, render_dataset, render_listing, render_search
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.databrowser.browser": ("DataBrowser", "Listing"),
+    "repro.databrowser.triggers": (
+        "TriggerEngine", "TriggerEvent", "TriggerFailure", "TriggerRule"),
+    "repro.databrowser.webgui": (
+        "export_site", "render_dataset", "render_listing", "render_search"),
+})
 
 __all__ = [
     "DataBrowser",

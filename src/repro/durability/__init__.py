@@ -18,29 +18,20 @@ The :class:`~repro.durability.kit.DurabilityKit` bundles all of it per
 facility, exactly like the :class:`~repro.resilience.kit.ResilienceKit`.
 """
 
-from repro.durability.audit import (
-    CHECKSUM_MISMATCH,
-    DARK_DATA,
-    FINDING_KINDS,
-    LOST_DATA,
-    UNDER_REPLICATED,
-    AuditReport,
-    ConsistencyAuditor,
-    Finding,
-)
-from repro.durability.durable import DurableMetadataStore
-from repro.durability.kit import DurabilityError, DurabilityKit
-from repro.durability.repair import ACTIONS, RepairOutcome, RepairPlanner
-from repro.durability.scrubber import IntegrityScrubber, ScrubPass
-from repro.durability.wal import (
-    FileWalStorage,
-    MemoryWalStorage,
-    ReplayResult,
-    WalError,
-    WalRecord,
-    WalStorage,
-    WriteAheadLog,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.durability.audit": (
+        "CHECKSUM_MISMATCH", "DARK_DATA", "FINDING_KINDS", "LOST_DATA",
+        "UNDER_REPLICATED", "AuditReport", "ConsistencyAuditor", "Finding"),
+    "repro.durability.durable": ("DurableMetadataStore",),
+    "repro.durability.kit": ("DurabilityError", "DurabilityKit"),
+    "repro.durability.repair": ("ACTIONS", "RepairOutcome", "RepairPlanner"),
+    "repro.durability.scrubber": ("IntegrityScrubber", "ScrubPass"),
+    "repro.durability.wal": (
+        "FileWalStorage", "MemoryWalStorage", "ReplayResult", "WalError",
+        "WalRecord", "WalStorage", "WriteAheadLog"),
+})
 
 __all__ = [
     "ACTIONS",

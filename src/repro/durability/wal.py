@@ -80,6 +80,11 @@ class WalStorage:
         """The full current log contents."""
         raise NotImplementedError
 
+    def size(self) -> int:
+        """Current log length in bytes.  Media override this to answer
+        without copying the log; this fallback reads it whole."""
+        return len(self.read())
+
     def append(self, data: bytes) -> None:
         """Append bytes to the log."""
         raise NotImplementedError
@@ -106,6 +111,9 @@ class MemoryWalStorage(WalStorage):
 
     def read(self) -> bytes:
         return bytes(self._log)
+
+    def size(self) -> int:
+        return len(self._log)
 
     def append(self, data: bytes) -> None:
         self._log.extend(data)
@@ -135,6 +143,9 @@ class FileWalStorage(WalStorage):
     def read(self) -> bytes:
         with open(self.path, "rb") as fh:
             return fh.read()
+
+    def size(self) -> int:
+        return os.path.getsize(self.path)
 
     def append(self, data: bytes) -> None:
         with open(self.path, "ab") as fh:
@@ -240,7 +251,7 @@ class WriteAheadLog:
     @property
     def size_bytes(self) -> int:
         """Current log length on the medium."""
-        return len(self.storage.read())
+        return self.storage.size()
 
     # -- chaos hooks ----------------------------------------------------------
     def torn_tail(self, nbytes: int) -> None:

@@ -8,28 +8,21 @@ end-to-end deadline propagation — plus the open-loop load generator and
 the overload drill that prove it all works under a 5x saturation ramp.
 """
 
-from repro.frontdoor.admission import (
-    NO_SHED_FLOOR,
-    AdmissionQueue,
-    ShedController,
-    TokenBucket,
-)
-from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
-from repro.frontdoor.drill import DrillResult, PhaseStat, run_overload_drill
-from repro.frontdoor.loadgen import LoadGenerator
-from repro.frontdoor.request import (
-    BATCH,
-    BULK,
-    INTERACTIVE,
-    OUTCOMES,
-    PRIORITY_NAMES,
-    Deadline,
-    Request,
-    TenantSpec,
-    default_tenants,
-    scaled_tenants,
-)
-from repro.frontdoor.service import REJECT_REASONS, FrontDoor
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.frontdoor.admission": (
+        "NO_SHED_FLOOR", "AdmissionQueue", "ShedController", "TokenBucket"),
+    "repro.frontdoor.brownout": ("TIER_NAMES", "BrownoutController"),
+    "repro.frontdoor.drill": (
+        "DrillResult", "PhaseStat", "run_overload_drill"),
+    "repro.frontdoor.loadgen": ("LoadGenerator",),
+    "repro.frontdoor.request": (
+        "BATCH", "BULK", "INTERACTIVE", "OUTCOMES", "PRIORITY_NAMES",
+        "Deadline", "Request", "TenantSpec", "default_tenants",
+        "scaled_tenants"),
+    "repro.frontdoor.service": ("REJECT_REASONS", "FrontDoor"),
+})
 
 __all__ = [
     "AdmissionQueue",

@@ -24,8 +24,12 @@ Public surface
     Data model.
 """
 
-from repro.hdfs.blocks import Block, DataNodeInfo
-from repro.hdfs.namenode import HdfsError, NameNode
-from repro.hdfs.cluster import HdfsCluster
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hdfs.blocks": ("Block", "DataNodeInfo"),
+    "repro.hdfs.namenode": ("HdfsError", "NameNode"),
+    "repro.hdfs.cluster": ("HdfsCluster",),
+})
 
 __all__ = ["Block", "DataNodeInfo", "HdfsCluster", "HdfsError", "NameNode"]

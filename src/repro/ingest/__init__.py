@@ -15,10 +15,15 @@ the moment data stops being "invisible".
 Experiment E1 drives this at the paper's rates.
 """
 
-from repro.ingest.microscope import HighThroughputMicroscope, ImageDescriptor, MicroscopeConfig
-from repro.ingest.daq import DaqBuffer
-from repro.ingest.transfer import StorageSink, TransferAgent
-from repro.ingest.pipeline import IngestPipeline, IngestReport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ingest.microscope": (
+        "HighThroughputMicroscope", "ImageDescriptor", "MicroscopeConfig"),
+    "repro.ingest.daq": ("DaqBuffer",),
+    "repro.ingest.transfer": ("StorageSink", "TransferAgent"),
+    "repro.ingest.pipeline": ("IngestPipeline", "IngestReport"),
+})
 
 __all__ = [
     "DaqBuffer",

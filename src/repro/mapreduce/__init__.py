@@ -17,8 +17,14 @@ Two engines, two purposes:
     applications — DNA k-mer counting, image statistics (E10).
 """
 
-from repro.mapreduce.sim import JobResult, JobSpec, MapReduceSim, TaskStats
-from repro.mapreduce.local import LocalJob, LocalJobResult, make_splits, run_local
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mapreduce.sim": (
+        "JobResult", "JobSpec", "MapReduceSim", "TaskStats"),
+    "repro.mapreduce.local": (
+        "LocalJob", "LocalJobResult", "make_splits", "run_local"),
+})
 
 __all__ = [
     "JobResult",

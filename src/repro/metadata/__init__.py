@@ -30,17 +30,17 @@ Public surface
     Query expression builder: ``Q.field("size") > 1e9``, ``Q.tag("ok")`` …
 """
 
-from repro.metadata.errors import (
-    MetadataError,
-    MetadataUnavailableError,
-    SchemaError,
-    UnknownDatasetError,
-    WriteOnceError,
-)
-from repro.metadata.schema import FieldSpec, Schema
-from repro.metadata.records import DatasetRecord, ProcessingRecord
-from repro.metadata.query import Q, Query
-from repro.metadata.store import MetadataStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metadata.errors": (
+        "MetadataError", "MetadataUnavailableError", "SchemaError",
+        "UnknownDatasetError", "WriteOnceError"),
+    "repro.metadata.schema": ("FieldSpec", "Schema"),
+    "repro.metadata.records": ("DatasetRecord", "ProcessingRecord"),
+    "repro.metadata.query": ("Q", "Query"),
+    "repro.metadata.store": ("MetadataStore",),
+})
 
 __all__ = [
     "DatasetRecord",

@@ -22,11 +22,17 @@ Public surface
     The canonical LSDF-2011 topology from slide 7.
 """
 
-from repro.netsim.fairshare import equal_split_rates, maxmin_rates
-from repro.netsim.network import Flow, Network, NetworkError, NoRouteError, TransferResult
-from repro.netsim.topology import Link, Topology
-from repro.netsim.builders import build_lsdf_backbone, build_fat_tree, build_star
-from repro.netsim.traffic import TrafficConfig, TrafficGenerator
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.netsim.fairshare": ("equal_split_rates", "maxmin_rates"),
+    "repro.netsim.network": (
+        "Flow", "Network", "NetworkError", "NoRouteError", "TransferResult"),
+    "repro.netsim.topology": ("Link", "Topology"),
+    "repro.netsim.builders": (
+        "build_lsdf_backbone", "build_fat_tree", "build_star"),
+    "repro.netsim.traffic": ("TrafficConfig", "TrafficGenerator"),
+})
 
 __all__ = [
     "Flow",

@@ -10,10 +10,13 @@ LSDF backbone is expressed.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-import networkx as nx
+#: ``{node: {neighbour: weight}}`` — an undirected weighted graph.
+Adjacency = dict[str, dict[str, float]]
 
 
 class NoRouteError(Exception):
@@ -66,19 +69,68 @@ class Link:
         return f"<Link {self.a}<->{self.b} {self.capacity:.3g} B/s {state}>"
 
 
+def _shortest_path(adj: Adjacency, source: str, target: str
+                   ) -> Optional[list[str]]:
+    """Min-weight node path from ``source`` to ``target`` (both in ``adj``,
+    distinct), or ``None`` when they are not connected.
+
+    A port of networkx 3.x ``bidirectional_dijkstra`` for non-negative
+    weights: the forward and backward searches alternate, one counter
+    breaks heap ties by push order, and neighbours are visited in ``adj``
+    insertion order, so equal-weight ties resolve exactly as networkx
+    resolves them (``tests/netsim/test_routing_oracle.py`` checks it).
+    """
+    dists = ({}, {})                          # settled distance per node
+    seen = ({source: 0}, {target: 0})         # best tentative distance
+    preds = ({source: None}, {target: None})  # search-tree parent
+    fringe = ([(0, 0, source)], [(0, 1, target)])
+    push = itertools.count(2)
+    best, meet = None, None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heapq.heappop(fringe[direction])
+        settled = dists[direction]
+        if v in settled:
+            continue
+        settled[v] = dist
+        if v in dists[1 - direction]:
+            forward, node = [], meet
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            backward, node = [], preds[1][meet]
+            while node is not None:
+                backward.append(node)
+                node = preds[1][node]
+            return forward[::-1] + backward
+        reached, opposite = seen[direction], seen[1 - direction]
+        for w, cost in adj[v].items():
+            length = dist + cost
+            if w in settled or (w in reached and length >= reached[w]):
+                continue
+            reached[w] = length
+            heapq.heappush(fringe[direction], (length, next(push), w))
+            preds[direction][w] = v
+            if w in opposite:
+                total = length + opposite[w]
+                if best is None or total < best:
+                    best, meet = total, w
+    return None
+
+
 class Topology:
     """A named-node graph with failable links and nodes and cached routing."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
         self._links: dict[tuple[str, str], Link] = {}
         self._node_up: dict[str, bool] = {}
         self._node_attrs: dict[str, dict] = {}
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
         self._epoch = 0  # bumped on any failure/repair/structure change
         # Healthy-subgraph view, rebuilt at most once per epoch (a cache
-        # miss on any route would otherwise rebuild the whole nx.Graph).
-        self._healthy: Optional[nx.Graph] = None
+        # miss on any route would otherwise rebuild the whole adjacency).
+        self._healthy: Optional[Adjacency] = None
         #: Route-cache hit/miss tallies (plain ints: the network layer
         #: exposes them as telemetry gauges; keeping them raw here avoids a
         #: registry dependency in the pure-graph layer).
@@ -88,7 +140,6 @@ class Topology:
     # -- construction -----------------------------------------------------
     def add_node(self, name: str, **attrs: Any) -> None:
         """Add a named node (idempotent; attrs merge)."""
-        self._graph.add_node(name)
         self._node_up.setdefault(name, True)
         self._node_attrs.setdefault(name, {}).update(attrs)
         self._invalidate()
@@ -103,7 +154,6 @@ class Topology:
         if link.key in self._links:
             raise ValueError(f"duplicate link {a}<->{b}")
         self._links[link.key] = link
-        self._graph.add_edge(link.a, link.b)
         self._invalidate()
         return link
 
@@ -111,7 +161,7 @@ class Topology:
     @property
     def nodes(self) -> list[str]:
         """All node names, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._node_up)
 
     @property
     def links(self) -> list[Link]:
@@ -171,19 +221,22 @@ class Topology:
         self._epoch += 1
 
     # -- routing -------------------------------------------------------------
-    def _healthy_subgraph(self) -> nx.Graph:
-        """The healthy-elements-only graph, cached until the next epoch bump."""
-        g = self._healthy
-        if g is None:
-            g = nx.Graph()
-            for node, up in self._node_up.items():
-                if up:
-                    g.add_node(node)
+    def _healthy_subgraph(self) -> Adjacency:
+        """The healthy-elements-only graph, cached until the next epoch bump.
+
+        Nodes, then links, enter in insertion order: the order neighbours
+        are visited in, and so how equal-latency ties break.
+        """
+        adj = self._healthy
+        if adj is None:
+            adj = {node: {} for node, up in self._node_up.items() if up}
             for link in self._links.values():
                 if link.up and self._node_up[link.a] and self._node_up[link.b]:
-                    g.add_edge(link.a, link.b, weight=link.latency + 1e-9)
-            self._healthy = g
-        return g
+                    weight = link.latency + 1e-9
+                    adj[link.a][link.b] = weight
+                    adj[link.b][link.a] = weight
+            self._healthy = adj
+        return adj
 
     def route(self, src: str, dst: str) -> list[Link]:
         """Links on the healthy min-latency path from ``src`` to ``dst``.
@@ -216,11 +269,9 @@ class Topology:
             return []
         if not self._node_up.get(src, False) or not self._node_up.get(dst, False):
             raise NoRouteError(f"endpoint down: {src if not self._node_up.get(src) else dst}")
-        g = self._healthy_subgraph()
-        try:
-            path = nx.shortest_path(g, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NoRouteError(f"no healthy route {src} -> {dst}") from exc
+        path = _shortest_path(self._healthy_subgraph(), src, dst)
+        if path is None:
+            raise NoRouteError(f"no healthy route {src} -> {dst}")
         return [self.link_between(u, v) for u, v in zip(path, path[1:])]
 
     def path_latency(self, links: Iterable[Link]) -> float:

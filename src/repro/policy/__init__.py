@@ -24,33 +24,20 @@ The same loop that enforces steady-state policy heals chaos incidents:
 see ``Facility.policy_drill()`` and ``docs/placement.md``.
 """
 
-from repro.policy.daemon import (
-    ACTION_BY_KIND,
-    ConvergenceDaemon,
-    ConvergenceReport,
-)
-from repro.policy.drift import (
-    CORRUPT_PRIMARY,
-    DRIFT_KINDS,
-    EXPIRED,
-    MISSING_HDFS,
-    MISSING_REPLICA,
-    MISSING_TAPE,
-    SURPLUS_REPLICA,
-    Drift,
-    DriftDetector,
-    hdfs_path,
-)
-from repro.policy.engine import PolicyEngine, is_real_object
-from repro.policy.model import (
-    EXPIRED_TAG,
-    DeclaredState,
-    PlacementRule,
-    PolicyError,
-    QuotaBook,
-    QuotaExceededError,
-    community_defaults,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.policy.daemon": (
+        "ACTION_BY_KIND", "ConvergenceDaemon", "ConvergenceReport"),
+    "repro.policy.drift": (
+        "CORRUPT_PRIMARY", "DRIFT_KINDS", "EXPIRED", "MISSING_HDFS",
+        "MISSING_REPLICA", "MISSING_TAPE", "SURPLUS_REPLICA", "Drift",
+        "DriftDetector", "hdfs_path"),
+    "repro.policy.engine": ("PolicyEngine", "is_real_object"),
+    "repro.policy.model": (
+        "EXPIRED_TAG", "DeclaredState", "PlacementRule", "PolicyError",
+        "QuotaBook", "QuotaExceededError", "community_defaults"),
+})
 
 __all__ = [
     "ACTION_BY_KIND",

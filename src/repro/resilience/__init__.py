@@ -20,17 +20,19 @@ See ``docs/resilience.md`` for the model and the chaos incident kinds that
 exercise it.
 """
 
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
-from repro.resilience.dlq import DeadLetter, DeadLetterQueue
-from repro.resilience.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ResilienceError,
-    RetriesExhaustedError,
-)
-from repro.resilience.kit import ResilienceKit
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.timeout import with_timeout
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.breaker": (
+        "CLOSED", "HALF_OPEN", "OPEN", "BreakerBoard", "CircuitBreaker"),
+    "repro.resilience.dlq": ("DeadLetter", "DeadLetterQueue"),
+    "repro.resilience.errors": (
+        "CircuitOpenError", "DeadlineExceededError", "ResilienceError",
+        "RetriesExhaustedError"),
+    "repro.resilience.kit": ("ResilienceKit",),
+    "repro.resilience.policy": ("RetryPolicy",),
+    "repro.resilience.timeout": ("with_timeout",),
+})
 
 __all__ = [
     "BreakerBoard",

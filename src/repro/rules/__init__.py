@@ -20,19 +20,14 @@ for review".  This package reproduces that mechanism over the glue layer:
   (cross-store copy via ADAL), :class:`CustomAction`.
 """
 
-from repro.rules.engine import (
-    Action,
-    ArchiveAction,
-    CustomAction,
-    MigrateAction,
-    PinAction,
-    ReplicateAction,
-    Rule,
-    RuleContext,
-    RuleEngine,
-    RuleError,
-    TagAction,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.rules.engine": (
+        "Action", "ArchiveAction", "CustomAction", "MigrateAction",
+        "PinAction", "ReplicateAction", "Rule", "RuleContext", "RuleEngine",
+        "RuleError", "TagAction"),
+})
 
 __all__ = [
     "Action",

@@ -29,12 +29,17 @@ Public surface
     Byte/second unit constants and formatting helpers.
 """
 
-from repro.simkit.core import Simulator
-from repro.simkit.errors import Interrupt, SimkitError, StopSimulation
-from repro.simkit.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.simkit.monitor import Counter, Tally, TimeSeries, TimeWeighted
-from repro.simkit.rand import RandomSource
-from repro.simkit.resources import Container, PriorityResource, Resource, Store
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simkit.core": ("Simulator",),
+    "repro.simkit.errors": ("Interrupt", "SimkitError", "StopSimulation"),
+    "repro.simkit.events": ("AllOf", "AnyOf", "Event", "Process", "Timeout"),
+    "repro.simkit.monitor": ("Counter", "Tally", "TimeSeries", "TimeWeighted"),
+    "repro.simkit.rand": ("RandomSource",),
+    "repro.simkit.resources": (
+        "Container", "PriorityResource", "Resource", "Store"),
+})
 
 __all__ = [
     "AllOf",

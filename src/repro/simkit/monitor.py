@@ -19,10 +19,7 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+from repro._lazy import optional_numpy
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -59,6 +56,7 @@ class Tally:
         """Sample mean (NaN when empty)."""
         if not self._samples:
             return math.nan
+        np = optional_numpy()
         if np is not None:
             return float(np.mean(self._samples))
         return math.fsum(self._samples) / len(self._samples)
@@ -68,6 +66,7 @@ class Tally:
         """Sample standard deviation (ddof=0; NaN when empty)."""
         if not self._samples:
             return math.nan
+        np = optional_numpy()
         if np is not None:
             return float(np.std(self._samples))
         mean = self.mean
@@ -80,6 +79,7 @@ class Tally:
         """Smallest sample (NaN when empty)."""
         if not self._samples:
             return math.nan
+        np = optional_numpy()
         return float(np.min(self._samples)) if np is not None else min(self._samples)
 
     @property
@@ -87,6 +87,7 @@ class Tally:
         """Largest sample (NaN when empty)."""
         if not self._samples:
             return math.nan
+        np = optional_numpy()
         return float(np.max(self._samples)) if np is not None else max(self._samples)
 
     @property
@@ -94,18 +95,21 @@ class Tally:
         """Sum of all samples."""
         if not self._samples:
             return 0.0
+        np = optional_numpy()
         return float(np.sum(self._samples)) if np is not None else math.fsum(self._samples)
 
     def percentile(self, q: float) -> float:
         """The q-th percentile (0..100) of the samples (NaN when empty)."""
         if not self._samples:
             return math.nan
+        np = optional_numpy()
         if np is not None:
             return float(np.percentile(self._samples, q))
         return _percentile(self._samples, q)
 
     def values(self):
         """All samples as an array (copy; a plain list without numpy)."""
+        np = optional_numpy()
         if np is not None:
             return np.asarray(self._samples, dtype=float)
         return [float(v) for v in self._samples]
@@ -171,6 +175,7 @@ class TimeSeries:
 
     def as_arrays(self):
         """``(times, values)`` as numpy arrays (copies; lists without numpy)."""
+        np = optional_numpy()
         if np is not None:
             return (np.asarray(self.times, dtype=float),
                     np.asarray(self.values, dtype=float))
@@ -180,6 +185,7 @@ class TimeSeries:
         """Zero-order-hold resample at the requested times."""
         if not self.times:
             raise ValueError("resample of empty TimeSeries")
+        np = optional_numpy()
         if np is not None:
             src_t, src_v = self.as_arrays()
             idx = np.searchsorted(src_t, np.asarray(times, dtype=float),

@@ -25,15 +25,7 @@ import random as _pyrandom  # lint: disable=stdlib-random -- fallback
 # seeded random.Random(seed64), never the process-global functions.
 from typing import Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
-#: numpy's scalar transcendentals when available (bit-compatibility with
-#: the historical draws), :mod:`math` otherwise.
-_log = math.log if np is None else np.log
-_sqrt = math.sqrt if np is None else np.sqrt
+from repro._lazy import optional_numpy
 
 
 class _FallbackSeedSequence:
@@ -93,6 +85,7 @@ class RandomSource:
     (pure-python fallback when numpy is not installed)."""
 
     def __init__(self, seed: Optional[int] = 0, _seq=None):
+        np = optional_numpy()
         if np is not None:
             self.seed_sequence = (
                 _seq if _seq is not None else np.random.SeedSequence(seed))
@@ -120,6 +113,7 @@ class RandomSource:
             digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
             spawn_key = self.seed_sequence.spawn_key + (
                 int.from_bytes(digest, "big") % (2**63),)
+            np = optional_numpy()
             if np is not None:
                 child_seq = np.random.SeedSequence(
                     entropy=self.seed_sequence.entropy, spawn_key=spawn_key)
@@ -147,9 +141,13 @@ class RandomSource:
         variation ``cv = std/mean`` (handy for service-time jitter)."""
         if mean <= 0:
             raise ValueError("lognormal mean must be positive")
-        sigma2 = _log(1.0 + cv * cv)
-        mu = _log(mean) - sigma2 / 2.0
-        return float(self.generator.lognormal(mu, _sqrt(sigma2)))
+        # numpy's scalar transcendentals when available (bit-compatibility
+        # with the historical draws), :mod:`math` otherwise.
+        np = optional_numpy()
+        log, sqrt = (math.log, math.sqrt) if np is None else (np.log, np.sqrt)
+        sigma2 = log(1.0 + cv * cv)
+        mu = log(mean) - sigma2 / 2.0
+        return float(self.generator.lognormal(mu, sqrt(sigma2)))
 
     def integers(self, low: int, high: int) -> int:
         """One integer draw in ``[low, high)``."""

@@ -20,11 +20,15 @@ Public surface
     Watermark-driven disk-to-tape migration and recall-on-access staging.
 """
 
-from repro.storage.ps import FluidServer
-from repro.storage.devices import DiskArray, StorageError
-from repro.storage.tape import TapeCartridge, TapeDrive, TapeLibrary
-from repro.storage.pool import PlacementPolicy, StoragePool, StoredFile
-from repro.storage.hsm import HsmConfig, HsmSystem
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.storage.ps": ("FluidServer",),
+    "repro.storage.devices": ("DiskArray", "StorageError"),
+    "repro.storage.tape": ("TapeCartridge", "TapeDrive", "TapeLibrary"),
+    "repro.storage.pool": ("PlacementPolicy", "StoragePool", "StoredFile"),
+    "repro.storage.hsm": ("HsmConfig", "HsmSystem"),
+})
 
 __all__ = [
     "DiskArray",

@@ -27,19 +27,17 @@ the CLI surfaces them as ``python -m repro.cli metrics`` / ``events``.
 See ``docs/observability.md`` for naming conventions and examples.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricFamily,
-    MetricsRegistry,
-    Summary,
-)
-from repro.telemetry.events import EventBus, FacilityEvent, Subscription
-from repro.telemetry.hub import TelemetryHub
-from repro.telemetry.bridge import MonitorBridge
-from repro.telemetry.export import to_json, to_prometheus
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricError", "MetricFamily",
+        "MetricsRegistry", "Summary"),
+    "repro.telemetry.events": ("EventBus", "FacilityEvent", "Subscription"),
+    "repro.telemetry.hub": ("TelemetryHub",),
+    "repro.telemetry.bridge": ("MonitorBridge",),
+    "repro.telemetry.export": ("to_json", "to_prometheus"),
+})
 
 __all__ = [
     "Counter",

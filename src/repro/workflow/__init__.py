@@ -20,23 +20,19 @@ by a **director** — is reproduced over the facility's real glue layer:
   workflows stored and tagged in DB".
 """
 
-from repro.workflow.actor import Actor, ActorError, FunctionActor
-from repro.workflow.graph import CycleError, PortError, WorkflowGraph
-from repro.workflow.director import (
-    DataflowDirector,
-    ExecutionTrace,
-    SequentialDirector,
-    SimulatedDirector,
-)
-from repro.workflow.provenance import ProvenanceRecorder
-from repro.workflow.facility_actors import (
-    AdalReadActor,
-    AdalWriteActor,
-    ChecksumActor,
-    LocalMapReduceActor,
-    MetadataTagActor,
-    RegisterProductActor,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workflow.actor": ("Actor", "ActorError", "FunctionActor"),
+    "repro.workflow.graph": ("CycleError", "PortError", "WorkflowGraph"),
+    "repro.workflow.director": (
+        "DataflowDirector", "ExecutionTrace", "SequentialDirector",
+        "SimulatedDirector"),
+    "repro.workflow.provenance": ("ProvenanceRecorder",),
+    "repro.workflow.facility_actors": (
+        "AdalReadActor", "AdalWriteActor", "ChecksumActor",
+        "LocalMapReduceActor", "MetadataTagActor", "RegisterProductActor"),
+})
 
 __all__ = [
     "Actor",

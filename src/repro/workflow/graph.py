@@ -7,10 +7,8 @@ as workflow inputs at run time; output ports may fan out freely.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
 
 from repro.workflow.actor import Actor, ActorError
 
@@ -77,30 +75,67 @@ class WorkflowGraph:
                     out.append((actor.name, port))
         return out
 
-    def _digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.actors)
+    def _dependencies(self) -> tuple[dict[str, dict[str, None]],
+                                     dict[str, int]]:
+        """Downstream actors and upstream-actor counts (Kahn's algorithm's
+        input; parallel wires between two actors count once)."""
+        downstream: dict[str, dict[str, None]] = {
+            name: {} for name in self.actors}  # insertion-ordered sets
         for conn in self.connections:
-            g.add_edge(conn.src_actor, conn.dst_actor)
-        return g
+            downstream[conn.src_actor][conn.dst_actor] = None
+        upstream = dict.fromkeys(self.actors, 0)
+        for targets in downstream.values():
+            for name in targets:
+                upstream[name] += 1
+        return downstream, upstream
+
+    def _raise_if_cyclic(self, upstream: dict[str, int]) -> None:
+        """After Kahn's algorithm, actors still waiting on an upstream one
+        sit on, or below, a cycle."""
+        stuck = sorted(name for name, count in upstream.items() if count)
+        if stuck:
+            raise CycleError(
+                f"workflow {self.name!r} has a cycle; actors on or "
+                f"downstream of it: {stuck}")
 
     def validate(self) -> None:
         """Raise :class:`CycleError` unless the wiring is a DAG."""
-        g = self._digraph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise CycleError(f"workflow {self.name!r} has a cycle: {cycle}")
+        self.waves()
 
     def topo_order(self) -> list[str]:
-        """Deterministic topological order of actor names."""
-        self.validate()
-        return list(nx.lexicographical_topological_sort(self._digraph()))
+        """Deterministic topological order of actor names: the smallest
+        ready name first."""
+        downstream, upstream = self._dependencies()
+        ready = [name for name, count in upstream.items() if not count]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for target in downstream[name]:
+                upstream[target] -= 1
+                if not upstream[target]:
+                    heapq.heappush(ready, target)
+        self._raise_if_cyclic(upstream)
+        return order
 
     def waves(self) -> list[list[str]]:
         """Actors grouped into dependency waves (each wave's actors are
         mutually independent — what :class:`DataflowDirector` parallelises)."""
-        self.validate()
-        return [sorted(wave) for wave in nx.topological_generations(self._digraph())]
+        downstream, upstream = self._dependencies()
+        out = []
+        wave = sorted(name for name, count in upstream.items() if not count)
+        while wave:
+            out.append(wave)
+            released = []
+            for name in wave:
+                for target in downstream[name]:
+                    upstream[target] -= 1
+                    if not upstream[target]:
+                        released.append(target)
+            wave = sorted(released)
+        self._raise_if_cyclic(upstream)
+        return out
 
     def upstream_of(self, actor: str, port: str) -> Connection | None:
         """The connection feeding an input port, if any."""

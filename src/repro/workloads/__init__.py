@@ -13,38 +13,26 @@
   feeding the capacity planner (E2).
 """
 
-from repro.workloads.zebrafish import (
-    ZEBRAFISH_PROJECT,
-    zebrafish_basic_schema,
-    zebrafish_microscopes,
-    zebrafish_processing_schemas,
-)
-from repro.workloads.dna import (
-    dna_cluster_job,
-    generate_genome,
-    generate_reads,
-    kmer_count_job,
-    reads_to_splits,
-)
-from repro.workloads.anka import (
-    ANKA_PROJECT,
-    AnkaBeamline,
-    AnkaConfig,
-    AnkaScan,
-    anka_basic_schema,
-    tomo_reconstruction_job,
-)
-from repro.workloads.assembly import AssemblyResult, DeBruijnGraph, assemble
-from repro.workloads.viz3d import viz3d_cluster_job
-from repro.workloads.communities import COMMUNITIES, CommunityProfile
-from repro.workloads.katrin import (
-    KATRIN_PROJECT,
-    KatrinConfig,
-    KatrinDaq,
-    KatrinRun,
-    katrin_basic_schema,
-    reprocessing_campaign,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.zebrafish": (
+        "ZEBRAFISH_PROJECT", "zebrafish_basic_schema", "zebrafish_microscopes",
+        "zebrafish_processing_schemas"),
+    "repro.workloads.dna": (
+        "dna_cluster_job", "generate_genome", "generate_reads",
+        "kmer_count_job", "reads_to_splits"),
+    "repro.workloads.anka": (
+        "ANKA_PROJECT", "AnkaBeamline", "AnkaConfig", "AnkaScan",
+        "anka_basic_schema", "tomo_reconstruction_job"),
+    "repro.workloads.assembly": (
+        "AssemblyResult", "DeBruijnGraph", "assemble"),
+    "repro.workloads.viz3d": ("viz3d_cluster_job",),
+    "repro.workloads.communities": ("COMMUNITIES", "CommunityProfile"),
+    "repro.workloads.katrin": (
+        "KATRIN_PROJECT", "KatrinConfig", "KatrinDaq", "KatrinRun",
+        "katrin_basic_schema", "reprocessing_campaign"),
+})
 
 __all__ = [
     "ANKA_PROJECT",

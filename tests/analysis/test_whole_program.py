@@ -187,6 +187,18 @@ class TestImportGraph:
         assert graph.imports["repro.a"] == ["repro.b"]
         assert graph.importers_of("repro.b") == ["repro.a"]
 
+    def test_lazy_reexports_count_as_imports(self, tmp_path):
+        project = _project(tmp_path, {
+            "repro/_lazy.py": "'''Helper.'''\ndef lazy_exports(p, e): pass\n",
+            "repro/pkg/__init__.py": (
+                "'''Pkg.'''\nfrom repro._lazy import lazy_exports\n"
+                "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+                "    'repro.pkg.sub': ('Thing',),\n})\n"),
+            "repro/pkg/sub.py": "'''Sub.'''\nclass Thing: pass\n",
+        })
+        graph = ImportGraph(project)
+        assert graph.imports["repro.pkg"] == ["repro._lazy", "repro.pkg.sub"]
+
 
 # ---------------------------------------------------------------------------
 # CFG

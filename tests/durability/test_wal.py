@@ -6,12 +6,14 @@ import zlib
 import pytest
 
 from repro.durability import (
+    DurableMetadataStore,
     FileWalStorage,
     MemoryWalStorage,
     WalError,
     WalRecord,
     WriteAheadLog,
 )
+from repro.metadata.schema import FieldSpec, Schema
 
 _HEADER = struct.Struct("<II")
 
@@ -138,3 +140,52 @@ class TestFileWalStorage:
     def test_no_snapshot_reads_none(self, tmp_path):
         storage = FileWalStorage(tmp_path / "w.wal")
         assert storage.read_snapshot() is None
+
+
+@pytest.fixture(params=["memory", "file"])
+def storage(request, tmp_path):
+    if request.param == "memory":
+        return MemoryWalStorage()
+    return FileWalStorage(tmp_path / "w.wal")
+
+
+class TestSize:
+    """``WalStorage.size()`` answers without copying the log, and always
+    equals ``len(read())``."""
+
+    def test_tracks_appends_tears_and_checkpoints(self, storage):
+        wal = WriteAheadLog(storage)
+        assert storage.size() == 0
+        for i in range(4):
+            wal.append("op", {"i": i})
+            assert storage.size() == len(storage.read())
+        full = storage.size()
+        wal.torn_tail(5)
+        assert storage.size() == full - 5 == len(storage.read())
+        wal.checkpoint(b"snap")
+        assert storage.size() == 0 == len(storage.read())
+
+    def test_after_recovery_cuts_the_torn_tail(self, storage):
+        store = DurableMetadataStore(WriteAheadLog(storage))
+        store.register_project("p", Schema("p", [FieldSpec("n", "int")]))
+        for i in range(3):
+            store.register_dataset(f"d{i}", "p", f"adal://x/{i}", 1, "c",
+                                   {"n": i})
+        before = storage.size()
+        store.crash(torn_tail_bytes=3)
+        assert storage.size() == before - 3
+        store.recover()
+        assert store.discarded_tail_bytes > 0
+        assert storage.size() == len(storage.read()) < before - 3
+        assert store.wal.size_bytes == storage.size()
+
+    def test_size_bytes_does_not_read_the_log(self, storage, monkeypatch):
+        wal = WriteAheadLog(storage)
+        wal.append("op", {"i": 1})
+        expected = len(storage.read())
+
+        def no_copy():
+            raise AssertionError("size_bytes copied the whole log")
+
+        monkeypatch.setattr(storage, "read", no_copy)
+        assert wal.size_bytes == expected
