@@ -24,6 +24,7 @@ Twin runs of the defended arm must be bit-identical.
 import os
 
 from repro.frontdoor import run_overload_drill
+from repro.frontdoor.service import DEADLINES
 
 _TINY = os.environ.get("LSDF_BENCH_TINY", "") not in ("", "0")
 _SCALE = 0.2 if _TINY else 1.0
@@ -64,7 +65,7 @@ def test_e18_frontdoor_overload(benchmark, report):
 
     served = defended.accounting["terminal"]
     defended_p99, naive_p99 = _p99(defended_facility), _p99(naive_facility)
-    bulk_deadline = defended_facility.frontdoor.deadlines[-1]
+    bulk_deadline = DEADLINES[-1]
     rows = [
         _row("defended", ">= 0.80", defended),
         _row("naive (ablation)", "< defended", naive),

@@ -10,6 +10,7 @@ its own tree).
 
 from __future__ import annotations
 
+import math
 import secrets
 import threading
 from dataclasses import dataclass, field
@@ -133,8 +134,8 @@ class TokenAuth(AuthProvider):
     def issue_session(self, credentials: Credentials,
                       ttl: float = 3600.0) -> Session:
         """Exchange static credentials for a fresh bearer session."""
-        if ttl <= 0:
-            raise ValueError("session ttl must be > 0")
+        if not (ttl > 0 and math.isfinite(ttl)):
+            raise ValueError("session ttl must be a finite number > 0")
         principal = self.authenticate(credentials)
         with self._lock:
             self._session_seq += 1

@@ -6,16 +6,15 @@ speaking the length-prefixed JSON protocol of
 :class:`~repro.metadata.store.MetadataStore` (durable or not) and,
 optionally, an :class:`~repro.adal.api.AdalClient` for object-store ops.
 
-Its admission policy core is **reused from the front door**
-(:mod:`repro.frontdoor`): per-tenant
-:class:`~repro.frontdoor.admission.TokenBucket` rate limits, the bounded
-fair-share :class:`~repro.frontdoor.admission.AdmissionQueue` with
-CoDel-style :class:`~repro.frontdoor.admission.ShedController`,
-:class:`~repro.frontdoor.brownout.BrownoutController` write degradation,
-and per-request :class:`~repro.frontdoor.request.Deadline` budgets with
-expired-at-pop fail-fast.  Those components take an injected clock, so
-the same code that runs on the simulation clock inside
-:class:`~repro.frontdoor.service.FrontDoor` here runs on the wall clock.
+Admission is the front door's own
+:class:`~repro.frontdoor.admission.AdmissionCore` (per-tenant token
+buckets, the fair queue with CoDel-style shedding, brownout write
+degradation, expired-at-pop fail-fast on per-request
+:class:`~repro.frontdoor.request.Deadline` budgets, and the books).  The
+core takes an injected clock, so the same object that runs on the
+simulation clock inside :class:`~repro.frontdoor.service.FrontDoor` here
+runs on the wall clock; this module is only its asyncio driver:
+connections, envelope checks, execution and replies.
 
 Determinism boundary: everything *behind* the socket — the metadata
 store, the WAL, the ADAL backends — is plain synchronous state shared
@@ -40,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.adal.api import AdalClient
@@ -50,14 +49,12 @@ from repro.adal.wire.errors import WireProtocolError
 from repro.adal.wire.protocol import (
     OPS,
     error_envelope,
-    error_kind,
     limit_from_wire,
     query_from_wire,
     read_frame,
     write_frame,
 )
-from repro.frontdoor.admission import AdmissionQueue, ShedController, TokenBucket
-from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.admission import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.request import (
     BATCH,
     INTERACTIVE,
@@ -67,8 +64,12 @@ from repro.frontdoor.request import (
 from repro.telemetry.events import INFO, WARNING
 from repro.telemetry.hub import TelemetryHub
 
-#: Admission rejection reasons (label pre-registration).
-REJECT_REASONS = ("rate_limited", "queue_full", "brownout")
+#: Per-tenant admission queue bound; readers pause above the high-water
+#: share of the total capacity and resume at the low-water share.
+QUEUE_CAPACITY, HIGH_WATER, LOW_WATER = 1024, 0.75, 0.25
+#: The shed controller's sojourn target and escalation interval, and the
+#: brownout delay target (seconds), handed to the admission core.
+CODEL_TARGET, CODEL_INTERVAL, BROWNOUT_TARGET = 0.25, 1.0, 0.5
 
 #: Terminal response statuses (label pre-registration).
 RESPONSE_STATUSES = ("ok", "error", "rejected", "deadline", "shed", "closed")
@@ -81,6 +82,15 @@ _OP_PRIORITY = {
 
 #: Operations the brownout controller treats as writes.
 _WRITE_OPS = frozenset({"register", "tag", "add_processing"})
+
+
+def _error(message_id: Any, kind: str, message: str,
+           reason: Optional[str] = None) -> dict:
+    """An error response of a given wire ``kind``."""
+    envelope = {"id": message_id, "ok": False, "kind": kind, "error": message}
+    if reason is not None:
+        envelope["reason"] = reason
+    return envelope
 
 
 def _default_tenants() -> tuple[TenantSpec, ...]:
@@ -120,8 +130,6 @@ class WireRequest:
     enqueued: float = 0.0
     #: Guard: exactly one terminal response per request.
     finished: bool = False
-    retries: int = 0
-    outcome: Optional[str] = field(default=None)
 
 
 class WireServer:
@@ -146,23 +154,17 @@ class WireServer:
         ``public`` tenant.
     workers:
         Concurrent service tasks draining the admission queue.
-    queue_capacity:
-        Per-tenant admission queue bound.
-    high_water / low_water:
-        Total queue depths at which connection readers pause / resume
-        (defaults: 0.75 / 0.25 of ``queue_capacity``).
     deadlines:
         Default budgets (seconds) by priority class when a request names
         none.
-    enabled:
-        ``False`` disables rate limits, shedding, brownout and deadline
-        fail-fast (the naive ablation arm, mirroring the front door's).
     debug_ops:
         Enables the test-only ``stall`` op (asyncio sleep in service).
-    telemetry:
-        Optional :class:`~repro.telemetry.hub.TelemetryHub`; default is a
-        private hub on a relative wall clock.
+
+    Admission runs on ``self.core`` with every defence on; metrics and
+    events go to a private :attr:`telemetry` hub on a relative wall clock.
     """
+
+    name = "wire"
 
     def __init__(
         self,
@@ -173,18 +175,9 @@ class WireServer:
         port: int = 0,
         tenants: Optional[Sequence[TenantSpec]] = None,
         workers: int = 4,
-        queue_capacity: int = 1024,
-        high_water: Optional[int] = None,
-        low_water: Optional[int] = None,
-        codel_target: float = 0.25,
-        codel_interval: float = 1.0,
-        brownout_target: float = 0.5,
         deadlines: tuple[float, float, float] = (5.0, 15.0, 60.0),
-        enabled: bool = True,
         require_auth: bool = False,
         debug_ops: bool = False,
-        telemetry: Optional[TelemetryHub] = None,
-        name: str = "wire",
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -193,8 +186,6 @@ class WireServer:
         self.auth = auth
         self.host = host
         self.port = port
-        self.name = name
-        self.enabled = enabled
         self.require_auth = require_auth
         self.debug_ops = debug_ops
         self.workers = workers
@@ -204,34 +195,17 @@ class WireServer:
         self._fallback_tenant = specs[0].name
         self._t0 = time.monotonic()
         self._clock = lambda: time.monotonic() - self._t0
-        if telemetry is None:
-            telemetry = TelemetryHub(clock=self._clock)
-        self._hub = telemetry
-        self.shed = ShedController(target=codel_target, interval=codel_interval)
-        self.brownout = BrownoutController(
-            target=brownout_target, on_change=self._on_brownout_change)
-        self.queue = AdmissionQueue(
-            clock=self._clock,
-            tenants={spec.name: spec.weight for spec in specs},
-            capacity=queue_capacity,
-            shed=self.shed if enabled else None,
-            on_drop=self._on_queue_drop,
-            on_dequeue=self._on_dequeue,
-            fail_fast_expired=enabled,
-        )
-        self.buckets = {
-            spec.name: TokenBucket(self._clock, spec.rate_limit, spec.burst)
-            for spec in specs
-        }
-        total_capacity = queue_capacity * len(specs)
-        self.high_water = (high_water if high_water is not None
-                           else max(1, int(total_capacity * 0.75)))
-        self.low_water = (low_water if low_water is not None
-                          else max(0, int(total_capacity * 0.25)))
-        if self.low_water >= self.high_water:
-            raise ValueError("low_water must be < high_water")
+        self._hub = TelemetryHub(clock=self._clock)
+        self.core = AdmissionCore(
+            self._clock, specs, enabled=True, queue_capacity=QUEUE_CAPACITY,
+            codel_target=CODEL_TARGET, codel_interval=CODEL_INTERVAL,
+            brownout_target=BROWNOUT_TARGET, bus=self._hub.bus,
+            subject=self.name, is_write=self._writes_in,
+            on_drop=self._on_queue_drop)
+        total_capacity = QUEUE_CAPACITY * len(specs)
+        self.high_water = int(total_capacity * HIGH_WATER)
+        self.low_water = int(total_capacity * LOW_WATER)
         self._seq = 0
-        self._in_flight = 0
         self._open_conns = 0
         self._conn_seq = 0
         self._running = False
@@ -291,10 +265,10 @@ class WireServer:
             "wire.service_seconds",
             "Dequeue-to-response service time of ok responses", unit="s")
         reg.gauge_fn("wire.queue_depth",
-                     lambda: float(self.queue.depth),
+                     lambda: float(self.core.queue.depth),
                      "Requests in the wire admission queue")
         reg.gauge_fn("wire.in_flight",
-                     lambda: float(self._in_flight),
+                     lambda: float(self.core.in_flight),
                      "Requests currently in service")
         reg.gauge_fn("wire.open_connections",
                      lambda: float(self._open_conns),
@@ -329,15 +303,16 @@ class WireServer:
         await self._server.wait_closed()
         self._server = None
         # Everything still queued gets a terminal "closed" response.
-        for request in self.queue.drain():
-            await self._respond_error_kind(
-                request, "closed", "server shutting down", status="closed")
+        for request in self.core.drain():
+            await self._respond(request, _error(
+                request.message_id, "closed", "server shutting down"), "closed")
         self._arrival.set()
         self._space.set()
         for task in self._worker_tasks:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        await self._flush_drops()  # drops a cancelled worker left parked
         for state in list(self._conns.values()):
             state.closed = True
             state.writer.close()
@@ -387,15 +362,16 @@ class WireServer:
 
     async def _backpressure_gate(self) -> None:
         """Pause reading while the admission queue is above high water."""
-        if self.queue.depth < self.high_water:
+        queue = self.core.queue
+        if queue.depth < self.high_water:
             return
         self._m_backpressure.add(1)
         self._hub.bus.publish(
             "wire.backpressure", subject=self.name, severity=WARNING,
-            depth=self.queue.depth, high_water=self.high_water)
-        while self._running and self.queue.depth > self.low_water:
+            depth=queue.depth, high_water=self.high_water)
+        while self._running and queue.depth > self.low_water:
             self._space.clear()
-            if self.queue.depth <= self.low_water:
+            if queue.depth <= self.low_water:
                 break
             await self._space.wait()
 
@@ -438,7 +414,7 @@ class WireServer:
                     WireProtocolError("authentication required")),
                     status="error")
                 return
-        nops = len(args.get("ops", ())) if op == "batch" else 1
+        nops = len(args["ops"]) if op == "batch" else 1
         tenant = tenant or state.tenant or self._fallback_tenant
         if tenant not in self.tenants:
             tenant = self._fallback_tenant
@@ -449,15 +425,12 @@ class WireServer:
             tenant=tenant, priority=priority,
             deadline=Deadline(now, budget), submitted=now,
             seq=self._seq, nops=max(1, nops))
-        if self.enabled:
-            if self._writes_in(request) and self.brownout.rejects_writes():
-                await self._reject(request, "brownout")
-                return
-            if not self.buckets[tenant].try_take(request.nops):
-                await self._reject(request, "rate_limited")
-                return
-        if not self.queue.offer(request):
-            await self._reject(request, "queue_full")
+        reason = self.core.admit(request, request.nops)
+        if reason is not None:
+            self._m_rejected[reason].add(1)
+            await self._send(state, _error(
+                message_id, "rejected", f"request rejected: {reason}",
+                reason=reason), "rejected")
             return
         self._arrival.set()
         # Queue-side drops (expired / shed) surfaced by a concurrent pop
@@ -471,6 +444,8 @@ class WireServer:
         args = message.get("args") or {}
         if not isinstance(args, dict):
             raise WireProtocolError("args must be an object")
+        if op == "batch" and not isinstance(args.get("ops"), list):
+            raise WireProtocolError("batch needs an 'ops' list")
         tenant = message.get("tenant")
         if tenant is not None and not isinstance(tenant, str):
             raise WireProtocolError("tenant must be a string")
@@ -484,13 +459,12 @@ class WireServer:
             raise WireProtocolError("budget must be a finite number > 0")
         return args, tenant, priority, float(budget)
 
-    def _writes_in(self, request: WireRequest) -> bool:
+    @staticmethod
+    def _writes_in(request: WireRequest) -> bool:
         """Whether the request carries any write op (brownout policy)."""
         if request.op == "batch":
-            ops = request.args.get("ops")
-            return isinstance(ops, list) and any(
-                isinstance(sub, dict) and sub.get("op") in _WRITE_OPS
-                for sub in ops)
+            return any(isinstance(sub, dict) and sub.get("op") in _WRITE_OPS
+                       for sub in request.args["ops"])
         return request.op in _WRITE_OPS
 
     async def _handle_auth(self, state: _ConnState, message_id: Any,
@@ -502,7 +476,10 @@ class WireServer:
                 WireProtocolError("server has no auth provider")),
                 status="error")
             return
+        tenant = args.get("tenant")
         try:
+            if tenant is not None and not isinstance(tenant, str):
+                raise WireProtocolError("tenant must be a string")
             session = self.auth.issue_session(
                 Credentials(str(args.get("subject", "")),
                             args.get("token")),
@@ -512,8 +489,8 @@ class WireServer:
                              status="error")
             return
         state.principal = session.subject
-        if args.get("tenant") and args["tenant"] in self.tenants:
-            state.tenant = args["tenant"]
+        if tenant in self.tenants:
+            state.tenant = tenant
         self._m_sessions.add(1)
         await self._send(state, {
             "id": message_id, "ok": True,
@@ -521,60 +498,49 @@ class WireServer:
                        "subject": session.subject,
                        "expires": session.expires}}, status="ok")
 
-    async def _reject(self, request: WireRequest, reason: str) -> None:
-        self._m_rejected[reason].add(1)
-        await self._respond_error_kind(
-            request, "rejected", f"request rejected: {reason}",
-            status="rejected", reason=reason)
-
     # -- queue callbacks -----------------------------------------------------
     def _on_queue_drop(self, request: WireRequest, reason: str) -> None:
         # Called synchronously inside queue.pop(); the response needs an
         # await, so park it for the next _flush_drops() call.
         self._drops.append((request, reason))
 
-    def _on_dequeue(self, request: WireRequest, sojourn: float) -> None:
-        if self.enabled:
-            self.brownout.observe(sojourn)
-
     async def _flush_drops(self) -> None:
         """Answer requests the admission queue dropped (expired / shed)."""
         while self._drops:
             request, reason = self._drops.pop(0)
             if reason == "expired":
-                await self._respond_error_kind(
-                    request, "deadline",
+                await self._respond(request, _error(
+                    request.message_id, "deadline",
                     f"budget of {request.deadline.budget:.3f}s expired in "
-                    "queue", status="deadline")
+                    "queue"), "deadline")
             else:
-                await self._respond_error_kind(
-                    request, "rejected", "request shed under overload",
-                    status="shed", reason="shed")
+                await self._respond(request, _error(
+                    request.message_id, "rejected",
+                    "request shed under overload", reason="shed"), "shed")
 
     # -- workers -------------------------------------------------------------
     async def _worker(self) -> None:
         """One service worker: drain the queue, idle-wait on arrivals."""
+        queue = self.core.queue
         while self._running:
-            request = self.queue.pop()
-            await self._flush_drops()
+            request = queue.pop()
             if request is None:
+                await self._flush_drops()
                 self._arrival.clear()
-                if self.queue.depth == 0 and self._running:
+                if queue.depth == 0 and self._running:
                     await self._arrival.wait()
                 continue
-            self._in_flight += 1
             try:
+                await self._flush_drops()
                 await self._serve(request)
             except asyncio.CancelledError:
-                # Cancelled mid-service (stop()): the request still gets
-                # its terminal response before the worker dies.
-                await self._respond_error_kind(
-                    request, "closed", "server shutting down",
-                    status="closed")
+                # Cancelled (stop()): the popped request still gets its
+                # terminal response before the worker dies.
+                await self._respond(request, _error(
+                    request.message_id, "closed", "server shutting down"),
+                    "closed")
                 raise
-            finally:
-                self._in_flight -= 1
-            if self.queue.depth <= self.low_water:
+            if queue.depth <= self.low_water:
                 self._space.set()
 
     async def _serve(self, request: WireRequest) -> None:
@@ -582,9 +548,7 @@ class WireServer:
         started = self._clock()
         try:
             if request.op == "batch":
-                ops = request.args.get("ops")
-                if not isinstance(ops, list):
-                    raise WireProtocolError("batch needs an 'ops' list")
+                ops = request.args["ops"]
                 results = self._execute_batch(ops, request.conn)
                 self._m_batches.add(1)
                 self._h_batch_size.observe(float(len(ops)))
@@ -595,12 +559,12 @@ class WireServer:
             else:
                 result = self._execute(request.op, request.args, request.conn)
         except Exception as exc:
-            await self._respond_error_kind(
-                request, error_kind(exc), f"{type(exc).__name__}: {exc}",
-                status="error")
+            await self._respond(request, error_envelope(
+                request.message_id, exc), "error")
             return
         self._s_service.record(self._clock() - started)
-        await self._respond_ok(request, result)
+        await self._respond(request, {"id": request.message_id, "ok": True,
+                                      "result": result}, "ok")
 
     # -- operation execution -------------------------------------------------
     def _execute_batch(self, ops: list, state: _ConnState) -> list[dict]:
@@ -721,32 +685,24 @@ class WireServer:
         raise WireProtocolError(f"unknown op {op!r}")
 
     # -- responses -----------------------------------------------------------
-    async def _respond_ok(self, request: WireRequest, result: Any) -> None:
-        if request.finished:
-            return
-        request.finished = True
-        request.outcome = "ok"
-        await self._send(request.conn,
-                         {"id": request.message_id, "ok": True,
-                          "result": result}, status="ok")
-
-    async def _respond_error_kind(self, request: WireRequest, kind: str,
-                                  message: str, status: str,
-                                  reason: Optional[str] = None) -> None:
-        if request.finished:
-            return
-        request.finished = True
-        request.outcome = status
-        envelope: dict = {"id": request.message_id, "ok": False,
-                          "kind": kind, "error": message}
-        if reason is not None:
-            envelope["reason"] = reason
-        await self._send(request.conn, envelope, status=status)
+    async def _respond(self, request: WireRequest, message: dict,
+                       status: str) -> None:
+        """The one terminal response of a request that left the queue."""
+        if not request.finished:
+            request.finished = True
+            await self._send(request.conn, message, status, settles=True)
 
     async def _send(self, state: _ConnState, message: dict,
-                    status: str) -> None:
-        """Write one terminal response; count it even if the peer is gone."""
+                    status: str, settles: bool = False) -> None:
+        """Write one terminal response; count it even if the peer is gone.
+
+        ``settles`` closes an admitted request's books in the same step
+        that counts its response, so the balance never shows it twice or
+        not at all.
+        """
         self._m_responses[status].add(1)
+        if settles:
+            self.core.settle()
         if state.closed:
             self._m_send_failures.add(1)
             return
@@ -756,55 +712,30 @@ class WireServer:
         except (ConnectionError, OSError):
             self._m_send_failures.add(1)
 
-    # -- observers -----------------------------------------------------------
-    def _on_brownout_change(self, old: int, new: int, signal: float) -> None:
-        self._hub.bus.publish(
-            "frontdoor.brownout", subject=self.name,
-            severity=WARNING if new > old else INFO,
-            old=TIER_NAMES[old], new=TIER_NAMES[new], signal=signal)
-
     # -- accounting ----------------------------------------------------------
     def accounting(self) -> dict:
-        """The zero-silent-loss balance sheet at message granularity.
-
-        ``silent_loss`` is decoded requests minus terminal responses minus
-        work still queued or in service; it must be 0 at all times.
-        (``auth``, unknown-op and malformed-envelope messages respond
-        inline and appear in both sides of the balance; unknown ops count
-        under ``op="unknown"``.)
-        """
+        """The zero-silent-loss balance over decoded requests and terminal
+        responses (see :meth:`AdmissionCore.books`).  ``auth``, unknown-op
+        and malformed-envelope messages respond inline and count on both
+        sides; unknown ops count under ``op="unknown"``."""
         reg = self._hub.registry
         received = int(reg.total("wire.requests_total"))
         responded = int(reg.total("wire.responses_total"))
-        return {
-            "received": received,
-            "responded": responded,
-            "queued": self.queue.depth,
-            "in_flight": self._in_flight,
-            "silent_loss": (received - responded - self.queue.depth
-                            - self._in_flight),
-        }
+        return {"received": received, "responded": responded,
+                **self.core.books(received, responded)}
 
     def stats(self) -> dict:
         """Headline wire-service numbers (machine-readable)."""
         reg = self._hub.registry
-        acct = self.accounting()
         return {
-            "enabled": self.enabled,
-            "received": acct["received"],
-            "responded": acct["responded"],
-            "silent_loss": acct["silent_loss"],
-            "queued": acct["queued"],
-            "in_flight": acct["in_flight"],
+            **self.core.stats(),
+            **self.accounting(),
             "batches": int(reg.total("wire.batches_total")),
             "group_commits": int(reg.total("wire.group_commits_total")),
             "backpressure_stalls":
                 int(reg.total("wire.backpressure_stalls_total")),
             "connections": int(reg.total("wire.connections_total")),
             "send_failures": int(reg.total("wire.send_failures_total")),
-            "peak_queue_depth": self.queue.peak_depth,
-            "brownout_tier": self.brownout.tier,
-            "shed_floor": self.shed.shed_floor,
         }
 
     @property
@@ -813,5 +744,6 @@ class WireServer:
         return self._hub
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<WireServer {self.name} {self.host}:{self.port} "
-                f"queued={self.queue.depth} in_flight={self._in_flight}>")
+        return (f"<WireServer {self.host}:{self.port} "
+                f"queued={self.core.queue.depth} "
+                f"in_flight={self.core.in_flight}>")

@@ -88,8 +88,6 @@ class FacilityConfig:
     frontdoor_enabled: bool = True
     #: Worker processes draining the admission queue.
     frontdoor_workers: int = 4
-    #: Bound of each tenant's admission queue.
-    frontdoor_queue_capacity: int = 256
     #: Multiplier on tenant client counts *and* rate limits (tiny CI arms).
     frontdoor_scale: float = 1.0
 

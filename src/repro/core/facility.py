@@ -266,7 +266,6 @@ class Facility:
             tenants=scaled_tenants(cfg.frontdoor_scale),
             enabled=cfg.frontdoor_enabled,
             workers=cfg.frontdoor_workers,
-            queue_capacity=cfg.frontdoor_queue_capacity,
         )
 
         _register_gauges(self.telemetry.registry, self.metadata, self.net,

@@ -197,7 +197,7 @@ class FacilityReport:
         reg = self.registry
         door = self.facility.frontdoor
         section = ReportSection("front door")
-        if not door.enabled:
+        if not door.core.enabled:
             section.add("status", "defences disabled (naive arm)")
         submitted = int(reg.total("frontdoor.requests_total"))
         admitted = int(reg.total("frontdoor.admitted_total"))
@@ -211,7 +211,8 @@ class FacilityReport:
                     ", ".join(outcome_rows) if outcome_rows else "none yet")
         section.add("silent loss", str(acct["silent_loss"]))
         section.add("queue",
-                    f"{door.queue.depth} now, peak {door.queue.peak_depth}, "
+                    f"{door.core.queue.depth} now, "
+                    f"peak {door.core.queue.peak_depth}, "
                     f"{int(reg.value('frontdoor.in_flight'))} in flight")
         latency = reg.series("frontdoor.latency_seconds")
         if latency is not None and latency.count:
@@ -219,9 +220,9 @@ class FacilityReport:
                         f"{units.fmt_duration(latency.percentile(0.5))} / "
                         f"{units.fmt_duration(latency.percentile(0.99))}")
         section.add("degradation",
-                    f"tier {door.brownout.tier_name}, "
-                    f"shed floor {door.shed.shed_floor}, "
-                    f"load signal {door.brownout.signal:.2f}s")
+                    f"tier {door.core.brownout.tier_name}, "
+                    f"shed floor {door.core.shed.shed_floor}, "
+                    f"load signal {door.core.brownout.signal:.2f}s")
         section.add("goodput",
                     units.fmt_bytes(
                         reg.total("frontdoor.goodput_bytes_total")))

@@ -12,7 +12,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.frontdoor.admission": (
-        "NO_SHED_FLOOR", "AdmissionQueue", "ShedController", "TokenBucket"),
+        "NO_SHED_FLOOR", "REJECT_REASONS", "AdmissionCore", "AdmissionQueue",
+        "ShedController", "TokenBucket"),
     "repro.frontdoor.brownout": ("TIER_NAMES", "BrownoutController"),
     "repro.frontdoor.drill": (
         "DrillResult", "PhaseStat", "run_overload_drill"),
@@ -21,10 +22,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "BATCH", "BULK", "INTERACTIVE", "OUTCOMES", "PRIORITY_NAMES",
         "Deadline", "Request", "TenantSpec", "default_tenants",
         "scaled_tenants"),
-    "repro.frontdoor.service": ("REJECT_REASONS", "FrontDoor"),
+    "repro.frontdoor.service": ("FrontDoor",),
 })
 
 __all__ = [
+    "AdmissionCore",
     "AdmissionQueue",
     "BrownoutController",
     "BATCH",

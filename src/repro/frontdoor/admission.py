@@ -3,7 +3,7 @@
 Three mechanisms keep the front door alive under overload:
 
 * :class:`TokenBucket` — per-tenant rate limits (refilled lazily on the
-  simulation clock, so an idle bucket costs nothing);
+  injected clock, so an idle bucket costs nothing);
 * :class:`AdmissionQueue` — bounded per-tenant, priority-segmented queues
   drained by *start-time fair queueing*: each tenant accumulates virtual
   time at ``1/weight`` per served request and the smallest virtual time is
@@ -14,20 +14,36 @@ Three mechanisms keep the front door alive under overload:
   ``target`` for a full ``interval``, the controller lowers its shed floor
   one priority class at a time (bulk first, never interactive) and
   recovers the moment sojourn falls back under target.
+
+:class:`AdmissionCore` composes them with brownout into the admission
+decision both doors share, the simulated
+:class:`~repro.frontdoor.service.FrontDoor` and the asyncio
+:class:`~repro.adal.wire.server.WireServer`, each on its own clock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.frontdoor.request import BATCH, BULK, INTERACTIVE, Request
+from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.request import (
+    BATCH,
+    BULK,
+    INTERACTIVE,
+    Request,
+    TenantSpec,
+)
+from repro.telemetry.events import INFO, WARNING, EventBus
 
 #: Priority classes in dequeue order (most urgent first).
 _CLASSES = (INTERACTIVE, BATCH, BULK)
 
 #: A shed floor of this value drops nothing (all classes admitted).
 NO_SHED_FLOOR = BULK + 1
+
+#: Reasons :meth:`AdmissionCore.admit` refuses with (label pre-registration).
+REJECT_REASONS = ("rate_limited", "queue_full", "brownout")
 
 
 class TokenBucket:
@@ -253,3 +269,100 @@ class AdmissionQueue:
             tq.depth = 0
         self.depth = 0
         return out
+
+
+class AdmissionCore:
+    """The admission decision and books both front doors share.
+
+    The core has no clock of its own: ``clock`` is the driver's, the
+    simulation clock or the wall clock.  A driver offers requests through :meth:`admit`, takes work with
+    ``queue.pop()`` or :meth:`drain`, and calls :meth:`settle` once a
+    request that left the queue (popped, dropped through ``on_drop``, or
+    drained) has its terminal answer; until then it is in flight.
+    ``enabled=False`` is the ablation arm: only the queue bound refuses,
+    nothing is shed or failed fast.  Tier changes publish
+    ``frontdoor.brownout`` under the driver's ``subject``.
+    """
+
+    def __init__(self, clock: Callable[[], float],
+                 tenants: Sequence[TenantSpec], *, enabled: bool,
+                 queue_capacity: int, codel_target: float,
+                 codel_interval: float, brownout_target: float,
+                 bus: EventBus, subject: str,
+                 is_write: Callable[[Any], bool],
+                 on_drop: Callable[[Any, str], None]):
+        self.enabled = enabled
+        self._bus = bus
+        self._subject = subject
+        self._is_write = is_write
+        self._on_drop = on_drop
+        self.in_flight = 0
+        self.shed = ShedController(target=codel_target,
+                                   interval=codel_interval)
+        self.brownout = BrownoutController(
+            target=brownout_target, on_change=self._on_brownout_change)
+        self.queue = AdmissionQueue(
+            clock=clock,
+            tenants={spec.name: spec.weight for spec in tenants},
+            capacity=queue_capacity,
+            shed=self.shed if enabled else None,
+            on_drop=self._dropped,
+            on_dequeue=self._dequeued,
+            fail_fast_expired=enabled,
+        )
+        self.buckets = {spec.name: TokenBucket(clock, spec.rate_limit,
+                                               spec.burst)
+                        for spec in tenants}
+
+    def admit(self, request: Any, tokens: float = 1.0) -> Optional[str]:
+        """Queue ``request`` or return why not (one of
+        :data:`REJECT_REASONS`): the brownout write gate, then the
+        tenant's token bucket (``tokens`` taken), then the queue bound."""
+        if self.enabled:
+            if self.brownout.rejects_writes() and self._is_write(request):
+                return "brownout"
+            if not self.buckets[request.tenant].try_take(tokens):
+                return "rate_limited"
+        if not self.queue.offer(request):
+            return "queue_full"
+        return None
+
+    def drain(self) -> list:
+        """Take every queued request out; each is in flight until settled."""
+        drained = self.queue.drain()
+        self.in_flight += len(drained)
+        return drained
+
+    def settle(self) -> None:
+        """One request that left the queue has its terminal answer."""
+        self.in_flight -= 1
+
+    def books(self, received: int, answered: int) -> dict:
+        """The balance sheet: ``silent_loss`` is requests received minus
+        those answered minus work still queued or in flight; it must be 0
+        at all times."""
+        queued = self.queue.depth
+        return {"queued": queued, "in_flight": self.in_flight,
+                "silent_loss": received - answered - queued - self.in_flight}
+
+    def stats(self) -> dict:
+        """The controllers' headline state (part of each driver's stats)."""
+        return {"enabled": self.enabled,
+                "peak_queue_depth": self.queue.peak_depth,
+                "brownout_tier": self.brownout.tier,
+                "shed_floor": self.shed.shed_floor}
+
+    def _dropped(self, request: Any, reason: str) -> None:
+        self.in_flight += 1
+        self._on_drop(request, reason)
+
+    def _dequeued(self, request: Any, sojourn: float) -> None:
+        self.in_flight += 1
+        if self.enabled:
+            self.brownout.observe(sojourn)
+
+    def _on_brownout_change(self, old: int, new: int, signal: float) -> None:
+        self._bus.publish(
+            "frontdoor.brownout", subject=self._subject,
+            severity=WARNING if new > old else INFO,
+            old=TIER_NAMES[old], new=TIER_NAMES[new], signal=signal)

@@ -148,11 +148,10 @@ def prepare_overload_drill(
     from repro.frontdoor.loadgen import LoadGenerator
 
     workers = max(1, int(round(4 * scale)))
-    # The queue bound deliberately does NOT scale down with the workers:
-    # a deep backlog relative to drain rate is what makes the naive arm's
-    # congestion collapse (workers grinding through expired requests)
-    # visible at every scale.
-    queue_capacity = 256
+    # The queue bound (the door's default) deliberately does NOT scale
+    # down with the workers: a deep backlog relative to drain rate is what
+    # makes the naive arm's congestion collapse (workers grinding through
+    # expired requests) visible at every scale.
     config = FacilityConfig(
         arrays=[ArraySpec("a1", 10 * units.TB, 2 * units.GB),
                 ArraySpec("a2", 10 * units.TB, 2 * units.GB)],
@@ -160,7 +159,6 @@ def prepare_overload_drill(
         nodes_per_rack=2,
         frontdoor_enabled=enabled,
         frontdoor_workers=workers,
-        frontdoor_queue_capacity=queue_capacity,
         frontdoor_scale=scale,
     )
     facility = Facility(config, seed=seed)
@@ -209,7 +207,7 @@ def prepare_overload_drill(
         facility.run()  # to quiescence: arrivals ended, workers idle
 
         result = DrillResult(enabled=enabled, storm=storm)
-        result.peak_queue_depth = facility.frontdoor.queue.peak_depth
+        result.peak_queue_depth = facility.frontdoor.core.queue.peak_depth
         result.flushed = facility.frontdoor.flush_queue()
 
         def phase_stat(name: str, lo: str, lo_t: float, hi: str,
@@ -229,7 +227,7 @@ def prepare_overload_drill(
             phase_stat("recovery", "surge_end", surge_end, "end", end),
         ]
         result.accounting = facility.frontdoor.accounting()
-        result.queue_bound = (queue_capacity
+        result.queue_bound = (facility.frontdoor.core.queue.capacity
                               * len(facility.frontdoor.tenants))
         result.client_retries = int(
             reg.value("frontdoor.client_retries_total"))

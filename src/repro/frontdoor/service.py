@@ -33,8 +33,7 @@ from repro.adal.errors import (
     ObjectExistsError,
     ObjectNotFoundError,
 )
-from repro.frontdoor.admission import AdmissionQueue, ShedController, TokenBucket
-from repro.frontdoor.brownout import TIER_NAMES, BrownoutController
+from repro.frontdoor.admission import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.request import (
     BATCH,
     OUTCOMES,
@@ -49,11 +48,18 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.timeout import with_timeout
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event
-from repro.telemetry.events import INFO, WARNING
+from repro.telemetry.events import WARNING
 from repro.telemetry.hub import TelemetryHub
 
-#: Reject reasons the door can answer with (label pre-registration).
-REJECT_REASONS = ("rate_limited", "queue_full", "brownout")
+#: What the door hands its admission core: the shed controller's sojourn
+#: target and escalation interval, and the brownout delay target (s).
+CODEL_TARGET, CODEL_INTERVAL, BROWNOUT_TARGET = 0.5, 2.0, 1.0
+#: The door's own breaker board (gentler than the facility's, with the
+#: half-open probe timeout) and the bound of its dead-letter queue.
+BREAKER_THRESHOLD, BREAKER_RESET, BREAKER_PROBE_TIMEOUT = 6, 20.0, 10.0
+DLQ_CAPACITY = 512
+#: Default budgets (seconds) by priority class (interactive, batch, bulk).
+DEADLINES = (4.0, 15.0, 60.0)
 
 
 class FrontDoor:
@@ -75,29 +81,21 @@ class FrontDoor:
         Worker processes draining the admission queue.
     queue_capacity:
         Bound of each tenant's admission queue.
-    codel_target, codel_interval:
-        Shed-controller knobs (seconds): sojourn target and escalation
-        interval.
-    brownout_target:
-        Queue-delay level (seconds) the brownout signal is normalised to.
     service_overhead, service_bandwidth:
         Service-time model: ``overhead + nbytes / bandwidth`` per attempt.
     retry_policy:
         Backend retry policy (default: 3 attempts, sub-second backoff).
-    breaker_threshold, breaker_reset, breaker_probe_timeout:
-        The door's own breaker board (gentler than the facility board, and
-        probe-timeout protected — see
-        :class:`~repro.resilience.breaker.CircuitBreaker`).
-    dlq, dlq_capacity:
-        Dead-letter queue for retry-exhausted requests; by default a
-        bounded private queue (eviction keeps drills memory-safe).
-    deadlines:
-        Default budgets (seconds) by priority class
-        (interactive, batch, bulk).
     on_terminal:
         Observer called ``(request, outcome)`` at every terminal outcome —
         the load generator's client-retry hook.
+
+    Admission (buckets, queue, shedding, brownout, the books) is the
+    shared :class:`~repro.frontdoor.admission.AdmissionCore` at
+    ``self.core``, on the simulation clock; the door itself is the simkit
+    driver around it: workers, the service model, retries and the DLQ.
     """
+
+    name = "frontdoor"
 
     def __init__(
         self,
@@ -107,68 +105,45 @@ class FrontDoor:
         enabled: bool = True,
         workers: int = 4,
         queue_capacity: int = 256,
-        codel_target: float = 0.5,
-        codel_interval: float = 2.0,
-        brownout_target: float = 1.0,
         service_overhead: float = 0.05,
         service_bandwidth: float = 50e6,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 6,
-        breaker_reset: float = 20.0,
-        breaker_probe_timeout: float = 10.0,
-        dlq: Optional[DeadLetterQueue] = None,
-        dlq_capacity: Optional[int] = 512,
-        deadlines: tuple[float, float, float] = (4.0, 15.0, 60.0),
         on_terminal: Optional[Callable[[Request, str], None]] = None,
-        name: str = "frontdoor",
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sim = sim
         self.client = client
-        self.name = name
-        self.enabled = enabled
         self.workers = workers
         self.tenants = {spec.name: spec for spec in tenants}
-        self.deadlines = deadlines
         self.service_overhead = service_overhead
         self.service_bandwidth = service_bandwidth
         self.policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay=0.2, multiplier=2.0, max_delay=2.0,
             jitter=0.1)
         self.on_terminal = on_terminal
-        self.rng = sim.random.spawn(f"{name}.retry")
+        self.rng = sim.random.spawn(f"{self.name}.retry")
         self._hub = TelemetryHub.for_sim(sim)
-        self.shed = ShedController(target=codel_target, interval=codel_interval)
-        self.brownout = BrownoutController(
-            target=brownout_target, on_change=self._on_brownout_change)
-        self.queue = AdmissionQueue(
-            clock=lambda: sim.now,
-            tenants={spec.name: spec.weight for spec in tenants},
-            capacity=queue_capacity,
-            shed=self.shed if enabled else None,
-            on_drop=self._on_queue_drop,
-            on_dequeue=self._on_dequeue,
-            fail_fast_expired=enabled,
-        )
-        self.buckets = {
-            spec.name: TokenBucket(lambda: sim.now, spec.rate_limit, spec.burst)
-            for spec in tenants
-        }
+        self.core = AdmissionCore(
+            lambda: sim.now, tenants, enabled=enabled,
+            queue_capacity=queue_capacity, codel_target=CODEL_TARGET,
+            codel_interval=CODEL_INTERVAL, brownout_target=BROWNOUT_TARGET,
+            bus=self._hub.bus, subject=self.name,
+            is_write=lambda request: request.op == "put",
+            on_drop=self._on_queue_drop)
         self.breakers = BreakerBoard(
             clock=lambda: sim.now,
-            failure_threshold=breaker_threshold,
-            reset_timeout=breaker_reset,
-            probe_timeout=breaker_probe_timeout,
+            failure_threshold=BREAKER_THRESHOLD,
+            reset_timeout=BREAKER_RESET,
+            probe_timeout=BREAKER_PROBE_TIMEOUT,
         )
-        self.dlq = dlq if dlq is not None else DeadLetterQueue(
-            name=f"{name}-dlq", bus=self._hub.bus, capacity=dlq_capacity)
+        self.dlq = DeadLetterQueue(name=f"{self.name}-dlq", bus=self._hub.bus,
+                                   capacity=DLQ_CAPACITY)
         self._seq = 0
-        self._in_flight = 0
         self._arrival: Optional[Event] = None
         self._build_instruments()
         for index in range(workers):
-            sim.process(self._worker(), name=f"{name}.worker{index:02d}")
+            sim.process(self._worker(), name=f"{self.name}.worker{index:02d}")
 
     # -- instruments ---------------------------------------------------------
     def _build_instruments(self) -> None:
@@ -213,25 +188,25 @@ class FrontDoor:
             "frontdoor.latency_seconds",
             "Submit-to-response latency of served requests", unit="s")
         reg.gauge_fn("frontdoor.queue_depth",
-                     lambda: float(self.queue.depth),
+                     lambda: float(self.core.queue.depth),
                      "Requests queued across tenants")
         reg.gauge_fn("frontdoor.peak_queue_depth",
-                     lambda: float(self.queue.peak_depth),
+                     lambda: float(self.core.queue.peak_depth),
                      "High-water mark of total queue depth")
         reg.gauge_fn("frontdoor.in_flight",
-                     lambda: float(self._in_flight),
+                     lambda: float(self.core.in_flight),
                      "Requests currently being served")
         reg.gauge_fn("frontdoor.brownout_tier",
-                     lambda: float(self.brownout.tier),
+                     lambda: float(self.core.brownout.tier),
                      "Degradation tier (0=normal, 1=no writes, 2=metadata only)")
         reg.gauge_fn("frontdoor.load_signal",
-                     lambda: self.brownout.signal,
+                     lambda: self.core.brownout.signal,
                      "Smoothed queue-delay load signal", unit="s")
         reg.gauge_fn("frontdoor.shed_floor",
-                     lambda: float(self.shed.shed_floor),
+                     lambda: float(self.core.shed.shed_floor),
                      "Lowest priority class currently shed (3 = none)")
         reg.gauge_fn("frontdoor.enabled",
-                     lambda: 1.0 if self.enabled else 0.0,
+                     lambda: 1.0 if self.core.enabled else 0.0,
                      "Whether overload defences are active")
 
     # -- request construction ------------------------------------------------
@@ -250,7 +225,7 @@ class FrontDoor:
             raise ValueError(f"unknown tenant {tenant!r}")
         now = self.sim.now
         if budget is None:
-            budget = self.deadlines[priority]
+            budget = DEADLINES[priority]
         self._seq += 1
         return Request(
             tenant=tenant, op=op, url=url, nbytes=float(nbytes),
@@ -266,15 +241,10 @@ class FrontDoor:
         measures.
         """
         self._m_requests[request.tenant].add(1)
-        if self.enabled:
-            if request.op == "put" and self.brownout.rejects_writes():
-                self._reject(request, "brownout")
-                return False
-            if not self.buckets[request.tenant].try_take():
-                self._reject(request, "rate_limited")
-                return False
-        if not self.queue.offer(request):
-            self._reject(request, "queue_full")
+        reason = self.core.admit(request)
+        if reason is not None:
+            self._m_rejected[(request.tenant, reason)].add(1)
+            self._finish(request, "rejected")
             return False
         self._m_admitted[request.tenant].add(1)
         if request.retries > 0:
@@ -282,29 +252,10 @@ class FrontDoor:
         self._notify_arrival()
         return True
 
-    def _reject(self, request: Request, reason: str) -> None:
-        self._m_rejected[(request.tenant, reason)].add(1)
-        self._finish(request, "rejected")
-
-    # -- queue callbacks -----------------------------------------------------
     def _on_queue_drop(self, request: Request, reason: str) -> None:
         """Queue-side drops: expired budgets fail fast, sheds are typed."""
-        if reason == "expired":
-            self._finish(request, "timed_out")
-        else:
-            self._finish(request, "shed")
-
-    def _on_dequeue(self, request: Request, sojourn: float) -> None:
-        self._h_queue_delay.observe(sojourn)
-        if self.enabled:
-            self.brownout.observe(sojourn)
-        self._in_flight += 1
-
-    def _on_brownout_change(self, old: int, new: int, signal: float) -> None:
-        self._hub.bus.publish(
-            "frontdoor.brownout", subject=self.name,
-            severity=WARNING if new > old else INFO,
-            old=TIER_NAMES[old], new=TIER_NAMES[new], signal=signal)
+        self._finish(request, "timed_out" if reason == "expired" else "shed",
+                     in_flight=True)
 
     # -- workers -------------------------------------------------------------
     def _wait_arrival(self) -> Event:
@@ -319,10 +270,11 @@ class FrontDoor:
     def _worker(self) -> Generator:
         """One service worker: drain the queue, idle-wait on arrivals."""
         while True:
-            request = self.queue.pop()
+            request = self.core.queue.pop()
             if request is None:
                 yield self._wait_arrival()
                 continue
+            self._h_queue_delay.observe(self.sim.now - request.enqueued)
             yield from self._serve(request)
 
     def _service_time(self, request: Request, degraded: bool) -> float:
@@ -334,18 +286,19 @@ class FrontDoor:
     def _serve(self, request: Request) -> Generator:
         """Execute one dequeued request within its remaining budget."""
         sim = self.sim
-        degraded = (self.enabled and request.op == "get"
-                    and self.brownout.metadata_only())
+        enabled = self.core.enabled
+        degraded = (enabled and request.op == "get"
+                    and self.core.brownout.metadata_only())
         attempts: list[tuple[float, str]] = []
         attempt = 1
         while True:
             remaining = request.deadline.remaining(sim.now)
             service = self._service_time(request, degraded)
-            if self.enabled and remaining <= service:
+            if enabled and remaining <= service:
                 # Fail fast: the budget cannot cover even one attempt.
                 self._finish(request, "timed_out", in_flight=True)
                 return
-            if self.enabled:
+            if enabled:
                 try:
                     yield with_timeout(
                         sim, sim.timeout(service), remaining,
@@ -356,7 +309,7 @@ class FrontDoor:
             else:
                 yield sim.timeout(service)
             ok, error = self._backend_call(request, degraded)
-            if not self.enabled and request.deadline.expired(sim.now):
+            if not enabled and request.deadline.expired(sim.now):
                 # The naive arm burned a full service slot on a request
                 # whose client already gave up — congestion collapse fuel.
                 self._finish(request, "timed_out", in_flight=True)
@@ -372,7 +325,7 @@ class FrontDoor:
                 self._dead_letter(request, error, attempts)
                 return
             backoff = self.policy.delay(attempt, self.rng)
-            if self.enabled and request.deadline.remaining(sim.now) <= backoff:
+            if enabled and request.deadline.remaining(sim.now) <= backoff:
                 # The backoff would outlive the caller: stop here.
                 self._finish(request, "timed_out", in_flight=True)
                 return
@@ -383,7 +336,7 @@ class FrontDoor:
                       degraded: bool) -> tuple[bool, Optional[str]]:
         """One guarded ADAL attempt; ``(ok, transient-error-description)``."""
         store = AdalUrl.parse(request.url).store
-        breaker = self.breakers.breaker(store) if self.enabled else None
+        breaker = self.breakers.breaker(store) if self.core.enabled else None
         if breaker is not None and not breaker.allow():
             return False, f"circuit open for store {store!r}"
         try:
@@ -426,9 +379,9 @@ class FrontDoor:
             self._hub.bus.publish(
                 "frontdoor.shed", subject=request.tenant, severity=WARNING,
                 priority=request.priority_name, seq=request.seq,
-                shed_floor=self.shed.shed_floor)
+                shed_floor=self.core.shed.shed_floor)
         if in_flight:
-            self._in_flight -= 1
+            self.core.settle()
         if self.on_terminal is not None:
             self.on_terminal(request, outcome)
 
@@ -443,45 +396,32 @@ class FrontDoor:
     # -- drill support -------------------------------------------------------
     def flush_queue(self) -> int:
         """Shed everything still queued (drill finalisation); returns count."""
-        drained = self.queue.drain()
+        drained = self.core.drain()
         for request in drained:
-            self._finish(request, "shed")
+            self._finish(request, "shed", in_flight=True)
         return len(drained)
 
     def accounting(self) -> dict:
-        """The zero-silent-loss balance sheet.
-
-        ``silent_loss`` is submissions minus terminal outcomes minus work
-        still queued or in flight; it must be 0 at all times and the other
-        two must be 0 at quiescence.
-        """
+        """The zero-silent-loss balance sheet over submissions and
+        terminal outcomes (see :meth:`AdmissionCore.books`); ``queued`` and
+        ``in_flight`` must also be 0 at quiescence."""
         reg = self._hub.registry
         submitted = int(reg.total("frontdoor.requests_total"))
         terminal = {o: 0 for o in OUTCOMES}
         for labels, instrument in reg.samples("frontdoor.outcomes_total"):
             terminal[labels["outcome"]] += int(instrument.value)
-        finished = sum(terminal.values())
-        return {
-            "submitted": submitted,
-            "terminal": terminal,
-            "queued": self.queue.depth,
-            "in_flight": self._in_flight,
-            "silent_loss": (submitted - finished - self.queue.depth
-                            - self._in_flight),
-        }
+        return {"submitted": submitted, "terminal": terminal,
+                **self.core.books(submitted, sum(terminal.values()))}
 
     def stats(self) -> dict:
         """Headline front-door numbers (machine-readable)."""
         acct = self.accounting()
         return {
-            "enabled": self.enabled,
+            **self.core.stats(),
             "submitted": acct["submitted"],
             "terminal": acct["terminal"],
             "silent_loss": acct["silent_loss"],
             "queued": acct["queued"],
-            "peak_queue_depth": self.queue.peak_depth,
-            "brownout_tier": self.brownout.tier,
-            "shed_floor": self.shed.shed_floor,
             "admitted_retries": int(self._m_admitted_retries.value),
             "backend_retries": int(self._m_retries.value),
             "dlq_depth": self.dlq.depth,
@@ -489,5 +429,6 @@ class FrontDoor:
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<FrontDoor {self.name} enabled={self.enabled} "
-                f"queued={self.queue.depth} in_flight={self._in_flight}>")
+        return (f"<FrontDoor enabled={self.core.enabled} "
+                f"queued={self.core.queue.depth} "
+                f"in_flight={self.core.in_flight}>")

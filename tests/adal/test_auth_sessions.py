@@ -62,6 +62,15 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError):
             auth.issue_session(Credentials("alice", "s3cret"), ttl=0.0)
 
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_non_finite_ttl_rejected(self, ttl):
+        # A NaN expiry never compares as reached: the session would live
+        # forever.
+        auth = self._auth()
+        with pytest.raises(ValueError, match="ttl"):
+            auth.issue_session(Credentials("alice", "s3cret"), ttl=ttl)
+        assert auth.active_sessions == 0
+
     def test_expiry_on_fake_clock(self):
         clock = FakeClock()
         auth = self._auth(clock=clock)

@@ -30,6 +30,7 @@ from repro.metadata.errors import UnknownDatasetError, WriteOnceError
 from repro.metadata.query import Q
 from repro.metadata.schema import FieldSpec, Schema
 from repro.metadata.store import MetadataStore
+from repro.resilience.errors import DeadlineExceededError
 
 
 def _store():
@@ -206,6 +207,7 @@ class TestMalformedEnvelope:
         {"op": "ping", "budget": "soon"},
         {"op": "ping", "budget": float("nan")},
         {"op": "batch", "args": [1, 2]},
+        {"op": "batch", "args": {"ops": 5}},
         {"op": "auth", "args": [1, 2]},
         {"op": "ping", "tenant": ["public"]},
         {"op": "nope"},
@@ -255,18 +257,6 @@ class TestAdmission:
         assert outcomes["rejected"] >= 1
         assert stats["silent_loss"] == 0
 
-    def test_disabled_server_admits_everything(self):
-        async def scenario(server, client):
-            for _ in range(12):
-                await client.ping(batch=False)
-            return server.stats()
-        stats = _run(
-            scenario, enabled=False,
-            tenants=[TenantSpec("public", weight=1.0, rate_limit=0.001,
-                                burst=1.0)])
-        assert stats["responded"] >= 12
-        assert stats["silent_loss"] == 0
-
     def test_accounting_closes_after_mixed_outcomes(self):
         async def scenario(server, client):
             for i in range(6):
@@ -282,6 +272,45 @@ class TestAdmission:
         acct = _run(scenario)
         assert acct["silent_loss"] == 0
         assert acct["received"] == acct["responded"]
+
+    def test_books_balance_while_expired_requests_await_replies(self):
+        """Requests the queue drops stay on the books until their reply is
+        sent, so the balance reads 0 at every response, not just at rest."""
+        readings = []
+
+        async def go():
+            server = WireServer(_store(), debug_ops=True, workers=1)
+            send = server._send
+
+            async def recording_send(*args, **kwargs):
+                readings.append(server.accounting()["silent_loss"])
+                await send(*args, **kwargs)
+
+            server._send = recording_send
+            await server.start()
+            client = WireClient("127.0.0.1", server.port)
+            try:
+                stall = asyncio.ensure_future(
+                    client.call("stall", {"seconds": 0.2}, batch=False))
+                while server.accounting()["in_flight"] == 0:
+                    await asyncio.sleep(0.005)  # the stall holds the worker
+                doomed = [asyncio.ensure_future(client.call(
+                    "ping", {}, batch=False, budget=0.05)) for _ in range(5)]
+                while server.accounting()["queued"] < 5:
+                    await asyncio.sleep(0.005)
+                last = asyncio.ensure_future(client.ping(batch=False))
+                await stall
+                outcomes = await asyncio.gather(*doomed,
+                                                return_exceptions=True)
+                await last
+                return outcomes, server.accounting()
+            finally:
+                await client.close()
+                await server.stop()
+        outcomes, acct = asyncio.run(go())
+        assert all(isinstance(o, DeadlineExceededError) for o in outcomes)
+        assert readings == [0] * 7
+        assert acct["silent_loss"] == 0
 
     def test_queued_work_answered_on_stop(self):
         async def go():
@@ -351,6 +380,34 @@ class TestAuth:
         record = self._serve(scenario, require_auth=True)
         assert record["dataset_id"] == "d0"
 
+    @pytest.mark.parametrize("extra", [
+        {"tenant": [1]},
+        {"ttl": float("nan")},
+        {"ttl": float("inf")},
+    ], ids=["list-tenant", "nan-ttl", "inf-ttl"])
+    def test_malformed_auth_refused_without_a_session(self, extra, caplog):
+        async def scenario(server, _client):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                await write_frame(writer, {
+                    "id": "auth", "op": "auth",
+                    "args": {"subject": "alice", "token": "s3cret", **extra}})
+                await write_frame(writer, {"id": "next", "op": "ping"})
+                first = await asyncio.wait_for(read_frame(reader), 5.0)
+                second = await asyncio.wait_for(read_frame(reader), 5.0)
+                return (first, second, server.accounting(),
+                        server.auth.active_sessions)
+            finally:
+                writer.close()
+        first, second, acct, sessions = self._serve(scenario)
+        assert first["id"] == "auth" and not first["ok"]
+        assert first["kind"] == "bad_request"
+        assert second["id"] == "next" and second["ok"]
+        assert sessions == 0
+        assert acct["silent_loss"] == 0
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_stale_session_refused(self):
         async def scenario(server, client):
             await client.auth("alice", "s3cret")
@@ -385,5 +442,3 @@ class TestLifecycle:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             WireServer(_store(), workers=0)
-        with pytest.raises(ValueError):
-            WireServer(_store(), high_water=10, low_water=10)

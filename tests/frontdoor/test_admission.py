@@ -1,18 +1,27 @@
-"""Tests for token buckets, fair queueing and the shed controller."""
+"""Tests for token buckets, fair queueing, the shed controller and the
+admission core both doors share."""
 
 import pytest
 
+from repro.adal import AdalClient, BackendRegistry
+from repro.adal.wire import WireServer
 from repro.frontdoor import (
     BATCH,
     BULK,
     INTERACTIVE,
     NO_SHED_FLOOR,
+    REJECT_REASONS,
+    AdmissionCore,
     AdmissionQueue,
     Deadline,
+    FrontDoor,
     Request,
     ShedController,
+    TenantSpec,
     TokenBucket,
 )
+from repro.metadata.store import MetadataStore
+from repro.telemetry.events import INFO, WARNING, EventBus
 
 
 class Clock:
@@ -30,8 +39,8 @@ def clock():
     return Clock()
 
 
-def _request(tenant, clock, priority=BATCH, budget=1e9, seq=0):
-    return Request(tenant=tenant, op="get", url=f"adal://s/{tenant}/x",
+def _request(tenant, clock, priority=BATCH, budget=1e9, seq=0, op="get"):
+    return Request(tenant=tenant, op=op, url=f"adal://s/{tenant}/x",
                    nbytes=0.0, priority=priority,
                    deadline=Deadline(clock.now, budget),
                    submitted=clock.now, seq=seq)
@@ -201,3 +210,123 @@ class TestAdmissionQueue:
         queue.pop()
         assert queue.depth == 1
         assert queue.peak_depth == 3
+
+
+class TestAdmissionCore:
+    """The shared admission decision, on a hand-cranked clock."""
+
+    def _core(self, clock, enabled=True, capacity=1, drops=None):
+        bus = EventBus(clock)
+        core = AdmissionCore(
+            clock, (TenantSpec("a", rate_limit=1.0, burst=1.0),
+                    TenantSpec("b", rate_limit=None)),
+            enabled=enabled, queue_capacity=capacity, codel_target=0.5,
+            codel_interval=2.0, brownout_target=1.0, bus=bus,
+            subject="door-x", is_write=lambda request: request.op == "put",
+            on_drop=lambda request, why: (drops if drops is not None
+                                          else []).append(why))
+        return core, bus
+
+    @pytest.mark.parametrize(
+        "enabled, brownout, tokens, room, op, expected", [
+            # Each gate on its own.
+            (True, True, True, True, "put", "brownout"),
+            (True, True, True, True, "get", None),   # reads pass brownout
+            (True, False, False, True, "get", "rate_limited"),
+            (True, False, True, False, "get", "queue_full"),
+            (True, False, True, True, "put", None),
+            # Admission order: the earlier gate answers.
+            (True, True, False, False, "put", "brownout"),
+            (True, False, False, False, "get", "rate_limited"),
+            # The disabled arm: only the queue bound refuses.
+            (False, True, False, True, "put", None),
+            (False, True, False, False, "put", "queue_full"),
+        ])
+    def test_decision_table(self, clock, enabled, brownout, tokens, room,
+                            op, expected):
+        core, _bus = self._core(clock, enabled=enabled)
+        while brownout and not core.brownout.rejects_writes():
+            core.brownout.observe(10.0)
+        if not tokens:
+            assert core.buckets["a"].try_take()
+        if not room:
+            assert core.queue.offer(_request("a", clock))
+        depth = core.queue.depth
+        reason = core.admit(_request("a", clock, op=op, seq=1))
+        assert reason == expected
+        assert reason is None or reason in REJECT_REASONS
+        assert core.queue.depth == depth + (reason is None)
+
+    def test_balance_identity_through_every_exit(self, clock):
+        drops = []
+        core, _bus = self._core(clock, capacity=4, drops=drops)
+        received = answered = 0
+
+        def loss():
+            return core.books(received, answered)["silent_loss"]
+
+        for tenant, budget in (("a", 5.0), ("b", 1e9), ("b", 1e9)):
+            assert core.admit(_request(tenant, clock, budget=budget)) is None
+            received += 1
+            assert loss() == 0
+        assert core.admit(_request("a", clock)) == "rate_limited"
+        received += 1
+        answered += 1                      # the refusal is its own answer
+        assert core.books(received, answered) == {
+            "queued": 3, "in_flight": 0, "silent_loss": 0}
+        clock.now = 10.0
+        popped = core.queue.pop()          # a's expired request drops first
+        assert popped.tenant == "b" and drops == ["expired"]
+        assert core.books(received, answered) == {
+            "queued": 1, "in_flight": 2, "silent_loss": 0}
+        for _ in (popped, "the dropped one"):
+            core.settle()
+            answered += 1
+            assert loss() == 0
+        drained = core.drain()
+        assert len(drained) == 1 and core.in_flight == 1
+        assert loss() == 0
+        for _ in drained:
+            core.settle()
+            answered += 1
+        assert core.books(received, answered) == {
+            "queued": 0, "in_flight": 0, "silent_loss": 0}
+
+    def test_one_brownout_event_per_tier_change(self, clock):
+        core, bus = self._core(clock)
+        tiers = [core.brownout.tier]
+        for delay in [10.0] * 4 + [0.0] * 12:
+            core.brownout.observe(delay)
+            tiers.append(core.brownout.tier)
+        changes = [(old, new) for old, new in zip(tiers, tiers[1:])
+                   if old != new]
+        assert changes == [(0, 1), (1, 2), (2, 1), (1, 0)]
+        events = bus.events(kind="frontdoor.brownout")
+        assert [(e.data["old"], e.data["new"]) for e in events] == [
+            ("normal", "no_writes"), ("no_writes", "metadata_only"),
+            ("metadata_only", "no_writes"), ("no_writes", "normal")]
+        assert {e.subject for e in events} == {"door-x"}
+        assert [e.severity for e in events] == [WARNING, WARNING, INFO, INFO]
+
+    def test_values_each_driver_pins_on_the_core(self, sim):
+        # The controller settings are module constants of each driver, not
+        # constructor knobs; these are the values they hand the core.
+        door = FrontDoor(sim, AdalClient(BackendRegistry()),
+                         tenants=(TenantSpec("t"),))
+        core = door.core
+        assert (core.shed.target, core.shed.interval) == (0.5, 2.0)
+        assert core.brownout.target == 1.0
+        assert core.queue.capacity == 256 and core.enabled
+        breakers = door.breakers
+        assert (breakers.failure_threshold, breakers.reset_timeout,
+                breakers.probe_timeout) == (6, 20.0, 10.0)
+        assert door.dlq.capacity == 512
+        assert [door.make_request("t", "get", "adal://s/x",
+                                  priority=p).deadline.budget
+                for p in (INTERACTIVE, BATCH, BULK)] == [4.0, 15.0, 60.0]
+        server = WireServer(MetadataStore())
+        core = server.core
+        assert (core.shed.target, core.shed.interval) == (0.25, 1.0)
+        assert core.brownout.target == 0.5
+        assert core.queue.capacity == 1024 and core.enabled
+        assert (server.high_water, server.low_water) == (768, 256)

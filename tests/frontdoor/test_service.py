@@ -90,8 +90,8 @@ class TestAdmission:
     def test_brownout_rejects_writes_but_serves_reads(self, sim):
         door = _door(sim)
         for _ in range(60):               # sustained overload signal
-            door.brownout.observe(10.0)
-        assert door.brownout.rejects_writes()
+            door.core.brownout.observe(10.0)
+        assert door.core.brownout.rejects_writes()
         [(put, put_ok)] = _submit(door, op="put", nbytes=10.0)
         [(get, get_ok)] = _submit(door, op="get")
         assert not put_ok and get_ok
@@ -102,8 +102,8 @@ class TestAdmission:
     def test_metadata_only_tier_serves_degraded(self, sim):
         door = _door(sim)
         for _ in range(200):
-            door.brownout.observe(50.0)
-        assert door.brownout.metadata_only()
+            door.core.brownout.observe(50.0)
+        assert door.core.brownout.metadata_only()
         [(get, ok)] = _submit(door, op="get", nbytes=1e9)
         assert ok
         sim.run()
@@ -117,7 +117,7 @@ class TestAdmission:
         door = _door(sim, enabled=False,
                      tenants=(TenantSpec("t", rate_limit=1.0),))
         for _ in range(60):
-            door.brownout.observe(10.0)
+            door.core.brownout.observe(10.0)
         results = [ok for _r, ok in _submit(door, n=5, op="put", nbytes=1.0)]
         assert all(results)               # no rate limit, no brownout
 
