@@ -11,17 +11,23 @@ time-averaged backlog and any drops.
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional, Sequence
 
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event
 from repro.simkit.monitor import TimeWeighted
-from repro.simkit.resources import Store
 from repro.telemetry.hub import TelemetryHub
 from repro.ingest.microscope import ImageDescriptor
 
 
 class DaqBuffer:
-    """Bounded byte-capacity buffer of acquired frames.
+    """Bounded byte-capacity FIFO of acquired frames.
+
+    One queue serves every producer (a per-frame microscope offers one
+    frame at a time, a fluid source a whole rate interval) and every
+    consumer.  Nothing here is a process: an offer that fits returns
+    ``None`` and costs no kernel event, a consumer waits with
+    :meth:`wait` and takes with :meth:`pop`.
 
     Parameters
     ----------
@@ -41,7 +47,7 @@ class DaqBuffer:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.name = name
-        self._store = Store(sim, name=f"{name}.frames")
+        self._frames: deque[ImageDescriptor] = deque()
         self._bytes = 0.0
         # Time-weighted backlog stays a monitor primitive (the registry has
         # no time-weighted instrument); the live level is also exposed as a
@@ -58,22 +64,10 @@ class DaqBuffer:
                      lambda: self._bytes,
                      "Bytes currently staged in the DAQ buffer",
                      unit="bytes", buffer=name)
-        self._space_waiters: list[tuple[Event, float]] = []
-        # Fluid-mode batch lane: frames arriving via offer_bulk() live in a
-        # plain deque (no per-frame Store events) and are drained by
-        # take_bulk().  A buffer is either per-frame or bulk for its whole
-        # life — mixing the lanes would let frames overtake each other.
-        self._bulk: deque[ImageDescriptor] = deque()
-        self._bulk_waiters: list[Event] = []
-        self._lane: str | None = None
-
-    def _enter_lane(self, lane: str) -> None:
-        if self._lane is None:
-            self._lane = lane
-        elif self._lane != lane:
-            raise RuntimeError(
-                f"DaqBuffer {self.name!r} is in {self._lane!r} mode; "
-                f"per-frame and bulk APIs cannot be mixed on one buffer")
+        # Consumers waiting for a frame, and blocked producers with the
+        # frames they still have to place, both FIFO.
+        self._waiters: deque[Event] = deque()
+        self._blocked: deque[tuple[Event, deque[ImageDescriptor]]] = deque()
 
     @property
     def backlog_bytes(self) -> float:
@@ -83,126 +77,75 @@ class DaqBuffer:
     @property
     def backlog_frames(self) -> int:
         """Frames currently buffered."""
-        return self._store.size + len(self._bulk)
+        return len(self._frames)
 
     # -- producer side --------------------------------------------------------
-    def offer(self, frame: ImageDescriptor) -> Event:
-        """Submit a frame; behaviour on a full buffer follows the policy.
+    def offer(self, frames: Sequence[ImageDescriptor]) -> Optional[Event]:
+        """Submit frames in arrival order; a full buffer follows the policy.
 
-        Returns an event that fires when the frame is accepted (or, under
-        the drop policy, immediately — with value ``None`` for a drop).
+        Returns ``None`` once every frame is placed (under the drop policy,
+        frames that do not fit are counted in :attr:`dropped` and
+        discarded).  Under the block policy, frames that do not fit wait
+        behind any producer already blocked, and the returned event fires
+        once the last of them is in the buffer.
         """
-        self._enter_lane("frame")
-        self.offered.add(1)
-        if self._bytes + frame.size > self.capacity_bytes:
-            if self.policy == "drop":
-                self.dropped.add(1)
-                done = self.sim.event(name=f"{self.name}.drop")
-                done.succeed(None)
-                return done
-            waiter = self.sim.event(name=f"{self.name}.space")
-            self._space_waiters.append((waiter, float(frame.size)))
-            return self.sim.process(self._blocking_offer(waiter, frame))
-        self._accept(frame)
-        done = self.sim.event(name=f"{self.name}.accepted")
-        done.succeed(frame)
-        return done
-
-    def _blocking_offer(self, waiter: Event, frame: ImageDescriptor):
-        yield waiter
-        self._accept(frame)
-        return frame
-
-    def _accept(self, frame: ImageDescriptor) -> None:
-        self._bytes += frame.size
-        self.backlog.set(self.sim.now, self._bytes)
-        self._store.put(frame)
-
-    # -- bulk (fluid-mode) producer side -----------------------------------------
-    def offer_bulk(self, frames) -> Event:
-        """Submit a batch of frames in one call (fluid-mode fast path).
-
-        Counters, backlog accounting and the block/drop policy behave
-        exactly as if each frame had been offered individually, but the
-        buffer spends O(1) events per *batch* instead of per frame.
-        Returns an event carrying the list of accepted frames (drops are
-        excluded under the drop policy).
-        """
-        self._enter_lane("bulk")
-        frames = list(frames)
         self.offered.add(len(frames))
         if self.policy == "drop":
-            accepted = []
             for frame in frames:
                 if self._bytes + frame.size > self.capacity_bytes:
                     self.dropped.add(1)
                 else:
-                    self._accept_bulk(frame)
-                    accepted.append(frame)
-            done = self.sim.event(name=f"{self.name}.bulk_accepted")
-            done.succeed(accepted)
-            return done
-        return self.sim.process(self._blocking_offer_bulk(frames))
+                    self._accept(frame)
+            return None
+        pending = deque(frames)
+        if not self._blocked:
+            self._admit(pending)
+            if not pending:
+                return None
+        space = self.sim.event(name=f"{self.name}.space")
+        self._blocked.append((space, pending))
+        return space
 
-    def _blocking_offer_bulk(self, frames):
-        for frame in frames:
-            while self._bytes + frame.size > self.capacity_bytes:
-                waiter = self.sim.event(name=f"{self.name}.space")
-                self._space_waiters.append((waiter, float(frame.size)))
-                yield waiter
-            self._accept_bulk(frame)
-        return frames
+    def _admit(self, pending: deque[ImageDescriptor]) -> None:
+        while pending and self._bytes + pending[0].size <= self.capacity_bytes:
+            self._accept(pending.popleft())
 
-    def _accept_bulk(self, frame: ImageDescriptor) -> None:
+    def _accept(self, frame: ImageDescriptor) -> None:
         self._bytes += frame.size
         self.backlog.set(self.sim.now, self._bytes)
-        self._bulk.append(frame)
-        if self._bulk_waiters:
-            self._bulk_waiters.pop(0).succeed()
+        self._frames.append(frame)
+        if self._waiters:
+            self._waiters.popleft().succeed()
 
     # -- consumer side -----------------------------------------------------------
-    def take(self) -> Event:
-        """Remove the oldest buffered frame (blocks while empty)."""
-        self._enter_lane("frame")
-        return self.sim.process(self._take())
+    def wait(self) -> Event:
+        """An event that fires when a frame arrives (one waiter per frame,
+        FIFO).  Another consumer may pop that frame first, so check
+        :attr:`backlog_frames` again after it fires."""
+        waiter = self.sim.event(name=f"{self.name}.frame")
+        self._waiters.append(waiter)
+        return waiter
 
-    def _take(self):
-        frame: ImageDescriptor = yield self._store.get()
-        self._bytes -= frame.size
-        self.backlog.set(self.sim.now, self._bytes)
-        self._wake_producers()
-        return frame
-
-    def take_bulk(self, max_frames: int) -> Event:
-        """Remove up to ``max_frames`` buffered frames (blocks while empty).
-
-        The returned event carries a non-empty list of frames in arrival
-        order.  Pairs with :meth:`offer_bulk`.
-        """
-        self._enter_lane("bulk")
-        if max_frames < 1:
-            raise ValueError("take_bulk needs max_frames >= 1")
-        return self.sim.process(self._take_bulk(int(max_frames)))
-
-    def _take_bulk(self, max_frames: int):
-        while not self._bulk:
-            waiter = self.sim.event(name=f"{self.name}.bulk_available")
-            self._bulk_waiters.append(waiter)
-            yield waiter
-        batch: list[ImageDescriptor] = []
-        while self._bulk and len(batch) < max_frames:
-            frame = self._bulk.popleft()
-            self._bytes -= frame.size
-            batch.append(frame)
-        self.backlog.set(self.sim.now, self._bytes)
-        self._wake_producers()
+    def pop(self, max_frames: int) -> list[ImageDescriptor]:
+        """Remove and return up to ``max_frames`` of the oldest frames
+        (an empty list when the buffer is empty)."""
+        frames = self._frames
+        batch = [frames.popleft() for _ in range(min(max_frames, len(frames)))]
+        if batch:
+            for frame in batch:
+                self._bytes -= frame.size
+            self.backlog.set(self.sim.now, self._bytes)
+            self._wake_producers()
         return batch
 
     def _wake_producers(self) -> None:
-        # Wake blocked producers whose frames now fit, FIFO.
-        while self._space_waiters:
-            waiter, size = self._space_waiters[0]
-            if self._bytes + size > self.capacity_bytes:
+        # Place blocked producers' frames in FIFO order *before* waking
+        # them, so freed space is claimed once and the capacity holds.
+        blocked = self._blocked
+        while blocked:
+            space, pending = blocked[0]
+            self._admit(pending)
+            if pending:
                 break
-            self._space_waiters.pop(0)
-            waiter.succeed()
+            blocked.popleft()
+            space.succeed()

@@ -3,20 +3,19 @@
 A deterministic microscope — ``arrival_cv == 0`` and ``size_cv == 0`` — is
 a *fluid* arrival process: frames arrive at exactly one per
 ``mean_interarrival`` seconds with a constant size.  Simulating it frame
-by frame spends three or four kernel events per frame (the inter-arrival
-timeout, the buffer offer, the store put/get handshake) on a process whose
-trajectory is a straight line.  :class:`FluidAcquisition` coalesces that
-line into **rate intervals**: it precomputes a chunk of consecutive
-arrivals purely arithmetically, sleeps once until the chunk's last arrival
-instant, and hands the whole chunk to the buffer in a single
-:meth:`~repro.ingest.daq.DaqBuffer.offer_bulk` call.  Discrete events are
+by frame spends a kernel event per frame (the inter-arrival timeout) on a
+process whose trajectory is a straight line.  :class:`FluidAcquisition`
+coalesces that line into **rate intervals**: it precomputes a chunk of
+consecutive arrivals purely arithmetically, sleeps once until the chunk's
+last arrival instant, and hands the whole chunk to the buffer in a single
+:meth:`~repro.ingest.daq.DaqBuffer.offer` call.  Discrete events are
 materialised only at interval *boundaries* — chunk edges, backpressure
-onset (a full buffer re-awakens per-frame blocking inside the bulk offer),
-and whatever chaos incidents do to the downstream path.
+onset (a full buffer blocks the chunk's remaining frames), and whatever
+chaos incidents do to the downstream path.
 
-Exactness, not approximation
-----------------------------
-For a deterministic arrival process the aggregation is *exact*:
+The same frames, later
+----------------------
+For a deterministic arrival process the *frame stream* is exact:
 
 * Arrival timestamps are accumulated with the same floating-point
   operation order the per-frame loop produces (``t = t + gap``, one add
@@ -24,17 +23,24 @@ For a deterministic arrival process the aggregation is *exact*:
   field is bit-identical to discrete mode's.
 * Sweep parameters, frame sizes, ``image_id`` numbering and the
   offered/dropped counters are computed by the same code paths, so
-  telemetry totals match discrete mode exactly in the absence of
+  frame and byte totals match discrete mode in the absence of
   backpressure, and conservation (offered = ingested + dropped + buffered
-  + in-flight) holds identically under it.
-* Stochastic configs are refused at construction: with ``arrival_cv > 0``
-  the per-frame lognormal draws are the process, and collapsing them
-  would change the trajectory.  Use the per-frame
-  :class:`~repro.ingest.microscope.HighThroughputMicroscope` for those.
+  + in-flight) closes under it.
+
+The *timing* is not exact.  A chunk's frames reach the buffer together at
+its last arrival instant, so the first frame of a chunk waits up to one
+chunk span (``chunk_frames × mean_interarrival``) before any agent can see
+it: ingest latency and DAQ backlog grow by up to one chunk span, and
+batches are composed differently (so retry outcomes under faults may
+differ too).  Stochastic configs are refused at construction: with
+``arrival_cv > 0`` the per-frame lognormal draws are the process.  Use
+the per-frame :class:`~repro.ingest.microscope.HighThroughputMicroscope`
+for those.
 
 The differential suite (``tests/ingest/test_fluid.py``) runs the same
-scenario through both modes and asserts equal telemetry totals, plus
-same-seed trace-fingerprint determinism within each mode.
+scenario through both modes and asserts equal totals and the one-span
+latency bound, plus same-seed trace-fingerprint determinism within each
+mode.
 """
 
 from __future__ import annotations
@@ -84,8 +90,8 @@ class FluidAcquisition(HighThroughputMicroscope):
 
     def run(self, sink, duration: Optional[float] = None,
             max_frames: Optional[int] = None):
-        """Start the acquisition process against a bulk-capable sink
-        (an object with ``offer_bulk(frames) -> Event``)."""
+        """Start the acquisition process; the sink is the same as
+        :meth:`HighThroughputMicroscope.run`'s, offered a chunk at a time."""
         return self.sim.process(self._run_fluid(sink, duration, max_frames),
                                 name=f"microscope:{self.config.name}")
 
@@ -128,11 +134,13 @@ class FluidAcquisition(HighThroughputMicroscope):
                 return self.frames_emitted
             if t > self.sim.now:
                 yield self.sim.timeout(t - self.sim.now)
-            yield sink.offer_bulk(batch)
+            blocked = sink.offer(batch)
+            if blocked is not None:
+                yield blocked
             self.intervals_emitted += 1
             if self.sim.now > t:
-                # Backpressure stalled the bulk offer past the chunk's
-                # last arrival; the robot resumes from the unblock time,
+                # Backpressure stalled the offer past the chunk's last
+                # arrival; the robot resumes from the unblock time,
                 # exactly as the per-frame loop resumes after a blocking
                 # offer.
                 t = self.sim.now

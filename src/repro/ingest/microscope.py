@@ -105,8 +105,10 @@ class HighThroughputMicroscope:
         Parameters
         ----------
         sink:
-            An object with ``offer(descriptor) -> Event`` (a
-            :class:`~repro.ingest.daq.DaqBuffer`).
+            An object with ``offer(frames) -> Event | None`` (a
+            :class:`~repro.ingest.daq.DaqBuffer`); the microscope waits
+            on a returned event, which a blocking buffer hands out when
+            it is full.
         duration:
             Stop after this many simulated seconds.
         max_frames:
@@ -150,5 +152,7 @@ class HighThroughputMicroscope:
                 microscope=cfg.name,
             )
             self.frames_emitted += 1
-            yield sink.offer(descriptor)
+            blocked = sink.offer((descriptor,))
+            if blocked is not None:
+                yield blocked
         return self.frames_emitted

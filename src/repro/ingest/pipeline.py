@@ -153,6 +153,7 @@ class IngestPipeline:
                 resilience=resilience,
                 transfer_timeout=transfer_timeout,
                 on_error=on_error,
+                bulk_writes=self.fluid,
             )
             for i in range(agents)
         ]
@@ -163,10 +164,7 @@ class IngestPipeline:
         for scope in self.microscopes:
             scope.run(self.buffer, duration=duration)
         for agent in self.agents:
-            if self.fluid:
-                agent.start_fluid()
-            else:
-                agent.start()
+            agent.start()
         self.sim.run(until=self.sim.now + duration)
         # Acquisition over: give agents time to drain, then stop them.
         self.sim.run(until=self.sim.now + drain_grace)

@@ -97,6 +97,11 @@ class TransferAgent:
         (seed behaviour — the error escalates and kills the run) or
         ``"drop"`` (the batch is counted lost and the stream continues) —
         the ablation arm that shows what resilience buys.
+    bulk_writes:
+        Land a multi-frame batch on storage with one aggregate
+        :meth:`~repro.storage.pool.StoragePool.write_bulk` instead of one
+        write per frame (the fluid-mode path; registration, accounting
+        and resilience are the same either way).
     """
 
     def __init__(
@@ -114,6 +119,7 @@ class TransferAgent:
         resilience: Optional[ResilienceKit] = None,
         transfer_timeout: Optional[float] = None,
         on_error: str = "raise",
+        bulk_writes: bool = False,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -155,22 +161,12 @@ class TransferAgent:
         self.lost = reg.counter(
             "ingest.frames_lost_total",
             'Frames dropped by the on_error="drop" ablation', agent=name)
+        self.bulk_writes = bulk_writes
         self._stop = False
-        self._bulk_writes = False
 
     def start(self):
         """Launch the agent's drain loop (runs until :meth:`stop`)."""
         return self.sim.process(self._run(), name=f"ingest:{self.name}")
-
-    def start_fluid(self):
-        """Launch the bulk drain loop (fluid-mode counterpart of
-        :meth:`start`): batches come out of the buffer through
-        :meth:`~repro.ingest.daq.DaqBuffer.take_bulk` and land on storage
-        through one aggregate :meth:`~repro.storage.pool.StoragePool.write_bulk`
-        per batch, with the same per-frame registration, accounting and
-        resilience machinery as the per-frame loop."""
-        self._bulk_writes = True
-        return self.sim.process(self._run_fluid(), name=f"ingest:{self.name}")
 
     def stop(self) -> None:
         """Ask the loop to exit after the current batch."""
@@ -178,27 +174,24 @@ class TransferAgent:
 
     # -- internals ---------------------------------------------------------
     def _run(self) -> Generator:
+        buffer = self.buffer
         while not self._stop:
-            batch: list[ImageDescriptor] = []
-            frame = yield self.buffer.take()
-            batch.append(frame)
-            # Opportunistically extend the batch with whatever is queued.
-            while len(batch) < self.batch_size and self.buffer.backlog_frames > 0:
-                batch.append((yield self.buffer.take()))
-            yield self.sim.process(self._ingest_batch(batch))
-        return self.ingested.value
-
-    def _run_fluid(self) -> Generator:
-        while not self._stop:
-            batch = yield self.buffer.take_bulk(self.batch_size)
-            yield self.sim.process(self._ingest_batch(batch))
+            while not buffer.backlog_frames:
+                yield buffer.wait()
+            # Whatever is queued, up to one batch, moves as one flow.
+            batch = buffer.pop(self.batch_size)
+            kit = self.resilience
+            if kit is not None and kit.enabled:
+                yield from self._ingest_resilient(batch, kit)
+            else:
+                yield from self._ingest_once(batch)
         return self.ingested.value
 
     def _write_frames(self, frames: list[ImageDescriptor],
                       exclude=None) -> list:
-        """Storage-write events for a batch: one per frame on the
-        per-frame path, a single aggregate write on the fluid path."""
-        if self._bulk_writes and len(frames) > 1:
+        """Storage-write events for a batch: one per frame, or a single
+        aggregate write under :attr:`bulk_writes`."""
+        if self.bulk_writes and len(frames) > 1:
             items = [(f.image_id, f.size, {"plate": f.plate, "well": f.well})
                      for f in frames]
             return [self.sink.pool.write_bulk(items, exclude=exclude)]
@@ -206,34 +199,29 @@ class TransferAgent:
                                      plate=f.plate, well=f.well)
                 for f in frames]
 
-    def _ingest_batch(self, batch: list[ImageDescriptor]) -> Generator:
-        kit = self.resilience
-        if kit is not None and kit.enabled:
-            yield from self._ingest_resilient(batch, kit)
-            return
+    def _ingest_once(self, batch: list[ImageDescriptor]) -> Generator:
+        """The straight-line (pre-resilience) ingest of one batch; a
+        recoverable failure follows the ``on_error`` policy."""
         try:
-            yield from self._ingest_once(batch)
+            total = float(sum(f.size for f in batch))
+            _array_name, dst_node = self.sink.choose(total)
+            # One network flow for the whole batch.
+            yield self.net.transfer(self.src_node, dst_node, total,
+                                    name=f"{self.name}.batch")
+            # Storage writes + checksum per frame (writes share the array's
+            # bandwidth; checksums are CPU at the intake and overlap them).
+            writes = self._write_frames(batch)
+            checksum_time = total / self.checksum_rate
+            if checksum_time > 0:
+                writes.append(self.sim.timeout(checksum_time))
+            yield self.sim.all_of(writes)
+            for frame in batch:
+                self._register(frame)
         except _RECOVERABLE:
             if self.on_error == "raise":
                 raise
             # Ablation: the batch is lost but the stream survives.
             self.lost.add(len(batch))
-
-    def _ingest_once(self, batch: list[ImageDescriptor]) -> Generator:
-        """The straight-line (pre-resilience) ingest of one batch."""
-        total = float(sum(f.size for f in batch))
-        _array_name, dst_node = self.sink.choose(total)
-        # One network flow for the whole batch.
-        yield self.net.transfer(self.src_node, dst_node, total, name=f"{self.name}.batch")
-        # Storage writes + checksum per frame (writes share the array's
-        # bandwidth; checksums are CPU at the intake and overlap them).
-        writes = self._write_frames(batch)
-        checksum_time = total / self.checksum_rate
-        if checksum_time > 0:
-            writes.append(self.sim.timeout(checksum_time))
-        yield self.sim.all_of(writes)
-        for frame in batch:
-            self._register(frame)
 
     def _ingest_resilient(self, batch: list[ImageDescriptor],
                           kit: ResilienceKit) -> Generator:

@@ -14,10 +14,10 @@ facility-level experiments depend on:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.simkit.core import Simulator
-from repro.simkit.events import Event
+from repro.simkit.events import URGENT, Event
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.metrics import Counter
 from repro.storage.ps import FluidServer
@@ -122,34 +122,50 @@ class DiskArray:
 
     # -- I/O ------------------------------------------------------------------
     def write(self, nbytes: float, allocate: bool = True) -> Event:
-        """Write ``nbytes``; returned process-event fires when durable.
+        """Write ``nbytes``; the returned event fires when durable, with
+        the operation's latency as its value.
 
         With ``allocate=True`` (default) the capacity is reserved up front,
         so a full array raises immediately rather than mid-write.
         """
         if allocate:
             self.allocate(nbytes)
-        proc = self.sim.process(self._io(nbytes, self.bytes_written), name=f"{self.name}.write")
-        return proc
+        return self._io(nbytes, self.bytes_written, "write")
 
     def read(self, nbytes: float) -> Event:
-        """Read ``nbytes``; returned process-event fires when delivered."""
-        return self.sim.process(self._io(nbytes, self.bytes_read), name=f"{self.name}.read")
+        """Read ``nbytes``; the returned event fires when delivered, with
+        the operation's latency as its value."""
+        return self._io(nbytes, self.bytes_read, "read")
 
     def delete(self, nbytes: float) -> None:
         """Drop a stored object, freeing its capacity (instantaneous)."""
         self.release(nbytes)
 
-    def _io(self, nbytes: float, counter: Counter) -> Generator:
-        start = self.sim.now
+    def _io(self, nbytes: float, counter: Counter, op: str) -> Event:
+        # An event chain, not a process: the overhead timeout submits the
+        # job, the job's completion fires ``done`` (URGENT, as a finishing
+        # process would).
+        sim = self.sim
+        start = sim.now
+        done = Event(sim, name=f"{self.name}.{op}")
+
+        def finish(_event: Optional[Event] = None) -> None:
+            counter.add(nbytes)
+            latency = sim.now - start
+            self.op_latency.record(latency)
+            done.succeed(latency, priority=URGENT)
+
+        def serve(_event: Optional[Event] = None) -> None:
+            if nbytes > 0:
+                self._server.submit(nbytes).callbacks.append(finish)
+            else:
+                finish()
+
         if self.op_overhead > 0:
-            yield self.sim.timeout(self.op_overhead)
-        if nbytes > 0:
-            yield self._server.submit(nbytes)
-        counter.add(nbytes)
-        latency = self.sim.now - start
-        self.op_latency.record(latency)
-        return latency
+            sim.timeout(self.op_overhead).callbacks.append(serve)
+        else:
+            serve()
+        return done
 
     # -- reporting ----------------------------------------------------------
     def effective_rate(self, elapsed: float) -> float:

@@ -138,8 +138,8 @@ class StoragePool:
         array can hold ``nbytes``.
         """
         skip = set(exclude or ()) | self._degraded
-        eligible = [a for a in self.arrays.values() if a.name not in skip]
-        candidates = [a for a in eligible if a.free >= nbytes]
+        candidates = [a for a in self.arrays.values()
+                      if a.name not in skip and a.free >= nbytes]
         if not candidates:
             raise StorageError(
                 f"{self.name}: no eligible array can hold {nbytes:.3g} B "

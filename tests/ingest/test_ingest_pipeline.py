@@ -1,14 +1,20 @@
 """Integration tests for the full ingest pipeline."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro._lazy import optional_numpy
+from repro.core import Facility
+from repro.simkit.events import Process
 from repro.simkit import Simulator
 from repro.simkit.units import GB, HOUR, MB, MINUTE
 from repro.netsim import Network, build_lsdf_backbone
 from repro.storage import DiskArray, StoragePool
 from repro.metadata import MetadataStore
 from repro.ingest import IngestPipeline, MicroscopeConfig, StorageSink, TransferAgent, DaqBuffer
-from repro.workloads import zebrafish_basic_schema
+from repro.workloads import zebrafish_basic_schema, zebrafish_microscopes
 
 
 def _world(seed=3):
@@ -90,8 +96,8 @@ class TestPipeline:
             sim, net, names, _pool, sink, _store = _world()
             buf = DaqBuffer(sim)
             for i in range(64):  # pre-loaded backlog
-                buf.offer(ImageDescriptor(f"i{i}", 0, "A01", 0, 400, 0, 0,
-                                          4_000_000, 0.0, "m"))
+                buf.offer([ImageDescriptor(f"i{i}", 0, "A01", 0, 400, 0, 0,
+                                           4_000_000, 0.0, "m")])
             agent = TransferAgent(sim, net, buf, names.daq[0], sink,
                                   batch_size=batch_size)
             agent.start()
@@ -127,13 +133,13 @@ class TestTransferAgent:
 
         def feed():
             for i in range(8):
-                yield buf.offer(ImageDescriptor(f"i{i}", 0, "A01", 0, 400, 0, 0,
-                                                4_000_000, sim.now, "m"))
+                buf.offer([ImageDescriptor(f"i{i}", 0, "A01", 0, 400, 0, 0,
+                                           4_000_000, sim.now, "m")])
                 yield sim.timeout(1.0)
             agent.stop()
-            # One more frame unblocks the take() so the loop can observe stop.
-            yield buf.offer(ImageDescriptor("last", 0, "A01", 0, 400, 0, 0,
-                                            4_000_000, sim.now, "m"))
+            # One more frame wakes the waiting loop so it can observe stop.
+            buf.offer([ImageDescriptor("last", 0, "A01", 0, 400, 0, 0,
+                                       4_000_000, sim.now, "m")])
 
         sim.process(feed())
         sim.run()
@@ -145,3 +151,80 @@ class TestTransferAgent:
         buf = DaqBuffer(sim)
         with pytest.raises(ValueError):
             TransferAgent(sim, net, buf, names.daq[0], sink, batch_size=0)
+
+
+class TestFacilityIngestPath:
+    """The per-frame path through a whole :class:`Facility`."""
+
+    # sha256 of repr(IngestReport) and of json.dumps(fac.stats(),
+    # sort_keys=True) for seeds 16-18, recorded when the DAQ buffer still
+    # ran on a simkit Store and every frame took helper processes: the
+    # event-chain path must not change a single answer.  The pure-python
+    # random fallback draws a different stream, hence its own pins.
+    _PINS = {
+        True: {
+            16: ("96c6373c244a809ed63ba924065b87502a48eb6452e18712692cb27d5c7d5a12",
+                 "15e4baca2b3edc1a73059717b6e7b7480b162d8711e67ad29b43c648d1008784"),
+            17: ("3e175c8e21d4bcace38211f13039a904baf2fde340a6b4360050d9798cc92b71",
+                 "9678f76f665d8d15243ef75e41d0fc7d7341a19616f1867133148b35d83c16fc"),
+            18: ("80cc91fa99cc38a3e29978fa37722fd10e51c357e93e6bd5abc6b63c67e59db4",
+                 "cc5aa9bb9c99959ef3d5d1671724f463a6cdf3fae500094704dbbb32514de132"),
+        },
+        False: {
+            16: ("3a1dca8ae93a578ac2a15fe73995e309e0044e69dbfd96a53287d36e0031546d",
+                 "f5f0218908a2630114289c45157523f1f5a5d9ca24938a5863aa2805ad757939"),
+            17: ("ea1f762f414139efb3e5814126fbeea71ef09d3b79c094dc4897614bd94f4c38",
+                 "26b65c264892d68abd897924ccf0d2476a9864857ded674ecf5762b1fa2b5b6b"),
+            18: ("33db632a4be5afe79c596cf9d23c536fd324313b15536aedfbf3a9d3ca7b41f0",
+                 "fa7131fddab8d80867eb17679104bfbe58f3d15bbd13daf33ea9bd43ef34ba52"),
+        },
+    }
+
+    @staticmethod
+    def _small(seed):
+        """Two jittered scopes at 4x the paper's rate, two agents, no
+        backpressure, two simulated minutes."""
+        fac = Facility(seed=seed)
+        pipeline = fac.ingest_pipeline(
+            zebrafish_microscopes(instruments=2, scale=4), agents=2)
+        return fac, pipeline
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_stochastic_run_is_pinned(self, seed):
+        fac, pipeline = self._small(seed)
+        report = pipeline.run(duration=120.0)
+        assert report.frames_dropped == 0 and report.frames_unaccounted == 0
+        digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                        for text in (repr(report),
+                                     json.dumps(fac.stats(), sort_keys=True)))
+        assert digests == self._PINS[optional_numpy() is not None][seed]
+
+    def test_no_process_per_frame(self, monkeypatch):
+        """Without backpressure the only processes are the microscopes' and
+        the agents' loops: buffer hand-offs, batches and disk I/O are
+        plain events."""
+        fac, pipeline = self._small(16)
+        started = []
+        init = Process.__init__
+
+        def counting(process, sim, generator, name=None):
+            started.append(name)
+            init(process, sim, generator, name)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        report = pipeline.run(duration=120.0)
+        assert report.frames_acquired > 1000
+        assert len(started) == len(pipeline.microscopes) + len(pipeline.agents)
+
+    def test_blocking_buffer_peak_stays_within_capacity(self):
+        """Four scopes at 40x the paper's rate into one agent through a
+        10 MB blocking buffer: however many scopes wait, a freed slot is
+        claimed once, so the backlog never exceeds the buffer."""
+        fac = Facility(seed=16)
+        pipeline = fac.ingest_pipeline(
+            zebrafish_microscopes(instruments=4, scale=40), agents=1,
+            buffer_bytes=10 * MB, buffer_policy="block")
+        report = pipeline.run(duration=30.0)
+        assert report.frames_acquired > 1000
+        assert report.frames_unaccounted == 0
+        assert report.backlog_peak_bytes <= 10 * MB

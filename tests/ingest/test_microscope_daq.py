@@ -14,11 +14,9 @@ class _ListSink:
         self.sim = sim
         self.frames = []
 
-    def offer(self, frame):
-        self.frames.append(frame)
-        ev = self.sim.event()
-        ev.succeed(frame)
-        return ev
+    def offer(self, frames):
+        self.frames.extend(frames)
+        return None
 
 
 class TestMicroscope:
@@ -106,10 +104,10 @@ class TestMicroscope:
 
 
 class TestDaqBuffer:
-    def _frame(self, sim, size=100):
+    def _frame(self, sim, size=100, image_id="f"):
         from repro.ingest.microscope import ImageDescriptor
 
-        return ImageDescriptor("f", 0, "A01", 0, 400, 0, 0, size, sim.now, "m")
+        return ImageDescriptor(image_id, 0, "A01", 0, 400, 0, 0, size, sim.now, "m")
 
     def test_policy_validation(self, sim):
         with pytest.raises(ValueError):
@@ -118,52 +116,50 @@ class TestDaqBuffer:
     def test_offer_take_fifo(self, sim):
         buf = DaqBuffer(sim)
 
-        def scenario():
-            for i in range(3):
-                frame = self._frame(sim, size=i + 1)
-                yield buf.offer(frame)
-            sizes = []
-            for _ in range(3):
-                frame = yield buf.take()
-                sizes.append(frame.size)
-            return sizes
+        def consumer():
+            while not buf.backlog_frames:
+                yield buf.wait()
+            first = buf.pop(1)
+            return [f.size for f in first + buf.pop(5)], sim.now
 
-        p = sim.process(scenario())
+        def producer():
+            yield sim.timeout(2.0)
+            for i in range(3):
+                assert buf.offer([self._frame(sim, size=i + 1)]) is None
+
+        p = sim.process(consumer())
+        sim.process(producer())
         sim.run()
-        assert p.value == [1, 2, 3]
+        assert p.value == ([1, 2, 3], 2.0)
         assert buf.backlog_bytes == 0
+        assert buf.pop(5) == []
 
     def test_block_policy_blocks_producer(self, sim):
         buf = DaqBuffer(sim, capacity_bytes=150, policy="block")
 
         def producer():
-            yield buf.offer(self._frame(sim, 100))
-            yield buf.offer(self._frame(sim, 100))  # blocks: 200 > 150
+            assert buf.offer([self._frame(sim, 100)]) is None
+            blocked = buf.offer([self._frame(sim, 100)])  # 200 > 150
+            assert blocked is not None
+            yield blocked
             return sim.now
 
         def consumer():
             yield sim.timeout(10.0)
-            yield buf.take()
+            buf.pop(1)
 
         p = sim.process(producer())
         sim.process(consumer())
         sim.run()
         assert p.value == 10.0
         assert buf.dropped.value == 0
+        assert buf.backlog_bytes == 100  # the blocked frame is in
 
     def test_drop_policy_drops(self, sim):
         buf = DaqBuffer(sim, capacity_bytes=150, policy="drop")
-
-        def producer():
-            first = yield buf.offer(self._frame(sim, 100))
-            second = yield buf.offer(self._frame(sim, 100))
-            return first, second
-
-        p = sim.process(producer())
-        sim.run()
-        accepted, dropped = p.value
-        assert accepted is not None
-        assert dropped is None
+        assert buf.offer([self._frame(sim, 100)]) is None
+        assert buf.offer([self._frame(sim, 100)]) is None
+        assert buf.offered.value == 2
         assert buf.dropped.value == 1
         assert buf.backlog_frames == 1
 
@@ -171,12 +167,46 @@ class TestDaqBuffer:
         buf = DaqBuffer(sim)
 
         def scenario():
-            yield buf.offer(self._frame(sim, 100))
+            buf.offer([self._frame(sim, 100)])
             yield sim.timeout(10.0)
-            yield buf.take()
+            buf.pop(1)
             yield sim.timeout(10.0)
 
         sim.process(scenario())
         sim.run()
         assert buf.backlog.max == 100
         assert buf.backlog.mean(sim.now) == pytest.approx(50.0)
+
+    def test_one_waiter_woken_per_accepted_frame(self, sim):
+        buf = DaqBuffer(sim)
+        waiters = [buf.wait() for _ in range(3)]
+        assert buf.offer([self._frame(sim), self._frame(sim)]) is None
+        assert [w.triggered for w in waiters] == [True, True, False]
+
+    def test_blocked_producers_never_overfill_and_stay_fifo(self, sim):
+        """Four producers blocked on a 10 MB buffer of 4 MB frames, one
+        frame freed per second: each freed slot admits exactly one waiting
+        frame, so the backlog never exceeds the capacity, and frames leave
+        in the order they were offered."""
+        buf = DaqBuffer(sim, capacity_bytes=10 * MB, policy="block")
+        offered, taken = [], []
+
+        def producer(p):
+            for i in range(5):
+                frame = self._frame(sim, 4 * MB, f"p{p}-{i}")
+                offered.append(frame.image_id)
+                blocked = buf.offer([frame])
+                if blocked is not None:
+                    yield blocked
+
+        def consumer():
+            while len(taken) < 20:
+                yield sim.timeout(1.0)
+                taken.extend(f.image_id for f in buf.pop(1))
+
+        for p in range(4):
+            sim.process(producer(p))
+        sim.process(consumer())
+        sim.run()
+        assert buf.backlog.max <= 10 * MB
+        assert taken == offered

@@ -79,6 +79,25 @@ class TestTiming:
         sim.run()
         assert array.op_latency.count == 2
 
+    def test_events_carry_op_latency_without_processes(self, sim, array):
+        """Read and write events fire with overhead + service time as their
+        value, the same figure the latency summary records, and no process
+        runs behind them."""
+        read = array.read(100.0)
+        write = array.write(50.0)
+        empty = array.write(0.0)
+        assert not sim._processes
+        sim.run()
+        # 0.5 s overhead, then 150 B shared at 100 B/s: the 50 B write is
+        # done at 1.5 s, the read gets the whole array for its last 50 B.
+        assert write.value == pytest.approx(1.5)
+        assert read.value == pytest.approx(2.0)
+        assert empty.value == pytest.approx(0.5)
+        assert sorted(array.op_latency.values()) == pytest.approx(
+            [0.5, 1.5, 2.0])
+        assert array.bytes_read.value == 100.0
+        assert array.bytes_written.value == 50.0
+
     def test_effective_rate(self, sim, array):
         array.write(100.0)
         array.read(100.0)
