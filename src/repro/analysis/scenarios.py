@@ -154,11 +154,9 @@ def _run_standard(facility: Facility) -> dict:
 
 
 def _fluid_config() -> FacilityConfig:
-    """The canonical facility in fluid-event mode: rate-interval ingest
-    over the calendar-queue scheduler (the full fluid kernel stack)."""
+    """The canonical facility in fluid-event mode: rate-interval ingest."""
     cfg = lsdf_2011_config()
     cfg.fluid_ingest = True
-    cfg.scheduler = "calendar"
     return cfg
 
 
@@ -230,8 +228,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="fluid",
-            description="3-minute fluid-mode ingest (rate intervals + "
-                        "calendar queue) with an array brown-out",
+            description="3-minute fluid-mode ingest (rate intervals) "
+                        "with an array brown-out",
             run=_run_fluid,
             config=_fluid_config,
         ),

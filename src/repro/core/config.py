@@ -40,10 +40,6 @@ class FacilityConfig:
     daq_count: int = 4
 
     # -- fluid-event kernel -------------------------------------------------------
-    #: Simulation event-queue backend: ``"heap"`` (the reference binary
-    #: heap) or ``"calendar"`` (calendar queue; identical event order,
-    #: O(1) amortised operations in timer-heavy regimes).
-    scheduler: str = "heap"
     #: Run ingest in fluid (rate-interval) mode: deterministic microscopes
     #: are coalesced into chunked bulk arrivals — exact for arrival_cv ==
     #: size_cv == 0, refused otherwise.

@@ -99,7 +99,7 @@ class Facility:
     ):
         self.config = config or lsdf_2011_config()
         cfg = self.config
-        self.sim = Simulator(seed=seed, scheduler=cfg.scheduler)
+        self.sim = Simulator(seed=seed)
         # The telemetry spine must exist before any subsystem registers an
         # instrument: `enabled` only takes effect at hub-creation time.
         self.telemetry = TelemetryHub.for_sim(

@@ -3,20 +3,20 @@
 :class:`Simulator` owns the clock and the event queue.  Events are totally
 ordered by ``(time, priority, sequence-number)`` which — together with seeded
 random streams — makes every simulation in this repository bit-for-bit
-reproducible.  The queue itself is a pluggable backend (see
-:mod:`repro.simkit.sched`): the default binary heap, or a calendar queue for
-timer-heavy regimes; both produce the identical pop order, so the scheduler
-choice never changes a trace.
+reproducible.  The queue is a plain :mod:`heapq` list of
+``(time, priority, tie, seq, event)`` entries: ``tie`` is 0 unless
+:meth:`Simulator.enable_tie_shuffle` is on, and ``seq`` is unique, so the
+comparison never reaches the event.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.simkit.errors import SimkitError, StopSimulation
 from repro.simkit.events import NORMAL, AllOf, AnyOf, Callback, Event, Process, Timeout
 from repro.simkit.rand import RandomSource
-from repro.simkit.sched import make_scheduler
 
 _INFINITY = float("inf")
 
@@ -32,10 +32,6 @@ class Simulator:
         so adding a new consumer never perturbs existing ones.
     start:
         Initial simulation time (seconds).
-    scheduler:
-        Event-queue backend: ``"heap"`` (default), ``"calendar"``, or a
-        pre-built :mod:`repro.simkit.sched` instance.  Backends are
-        pop-order identical; the knob only trades constant factors.
 
     Example
     -------
@@ -49,10 +45,10 @@ class Simulator:
     3.5
     """
 
-    def __init__(self, seed: Optional[int] = 0, start: float = 0.0,
-                 scheduler: Any = "heap"):
+    def __init__(self, seed: Optional[int] = 0, start: float = 0.0):
         self._now = float(start)
-        self._sched = make_scheduler(scheduler)
+        # The pending events, kept a heap by heappush/heappop.
+        self._queue: list[tuple[float, int, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Live processes in start order (what close() shuts down).
@@ -97,11 +93,6 @@ class Simulator:
         """The process currently being resumed, if any."""
         return self._active_process
 
-    @property
-    def scheduler(self):
-        """The event-queue backend instance (see :mod:`repro.simkit.sched`)."""
-        return self._sched
-
     # -- event creation --------------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
         """Create a pending :class:`Event` owned by this simulator."""
@@ -130,26 +121,26 @@ class Simulator:
         :data:`~repro.simkit.events.LOW` runs it after all normal work at
         that instant — how netsim batches same-instant rate solves).
         """
-        if when < self._now:
+        if not when >= self._now:  # also refuses NaN
             raise SimkitError(f"call_at({when}) is in the past (now={self._now})")
         return Callback(self, when, fn, priority=priority)
 
     # -- scheduling (kernel internal) -----------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimkitError(f"cannot schedule event in the past (delay={delay})")
         self._seq += 1
         if self._tie_rng is None:
-            self._sched.push((self._now + delay, priority, 0, self._seq, event))
+            heappush(self._queue, (self._now + delay, priority, 0, self._seq, event))
         else:
             tie = int(self._tie_rng.generator.integers(0, 2**31))
-            self._sched.push((self._now + delay, priority, tie, self._seq, event))
+            heappush(self._queue, (self._now + delay, priority, tie, self._seq, event))
 
     # -- execution ---------------------------------------------------------------
     @property
     def queue_empty(self) -> bool:
         """True when no future events remain."""
-        return not self._sched
+        return not self._queue
 
     @property
     def events_scheduled(self) -> int:
@@ -158,7 +149,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._sched.peek_time()
+        return self._queue[0][0] if self._queue else _INFINITY
 
     def _dispatch(self, when: float, prio: int, seq: int, event: Event) -> None:
         """Process one popped event: advance the clock, tap the trace
@@ -183,9 +174,9 @@ class Simulator:
         programming errors inside processes surface instead of being
         silently dropped.
         """
-        if not self._sched:
+        if not self._queue:
             raise SimkitError("step() on an empty event queue")
-        when, prio, _tie, seq, event = self._sched.pop()
+        when, prio, _tie, seq, event = heappop(self._queue)
         self._dispatch(when, prio, seq, event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -208,24 +199,21 @@ class Simulator:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # also refuses NaN
                 raise SimkitError(f"run(until={stop_time}) is in the past (now={self._now})")
 
-        # The loop binds the scheduler's methods once; every pop funnels
-        # through _dispatch (shared with step()) so traced and untraced
-        # runs execute identical event logic.
-        sched = self._sched
-        pop = sched.pop
-        peek = sched.peek_time
+        # Every pop funnels through _dispatch (shared with step()) so
+        # traced and untraced runs execute identical event logic.
+        queue = self._queue
         dispatch = self._dispatch
         try:
-            while sched:
+            while queue:
                 if stop_event is not None and stop_event._state == Event.PROCESSED:
                     return stop_event._value if stop_event._exception is None else None
-                if peek() > stop_time:
+                if queue[0][0] > stop_time:
                     self._now = stop_time
                     return None
-                when, prio, _tie, seq, event = pop()
+                when, prio, _tie, seq, event = heappop(queue)
                 dispatch(when, prio, seq, event)
         except StopSimulation:
             return None
@@ -252,9 +240,7 @@ class Simulator:
             for process in processes:
                 if process is not self._active_process:
                     process._gen.close()
-        sched = self._sched
-        while sched:
-            sched.pop()
+        self._queue.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6g} queued={len(self._sched)}>"
+        return f"<Simulator t={self._now:.6g} queued={len(self._queue)}>"

@@ -154,7 +154,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL):
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
         self._name = None

@@ -62,7 +62,7 @@ def test_close_stops_the_simulation_and_keeps_the_data():
     registered = len(fac.metadata)
     fac.close()
     fac.close()  # idempotent
-    assert not fac.sim._processes and not fac.sim._sched
+    assert not fac.sim._processes and not fac.sim._queue
     assert len(fac.metadata) == registered
     assert fac.telemetry.registry.value("metadata.datasets") == registered
     fac.run()  # nothing left to run

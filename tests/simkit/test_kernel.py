@@ -203,6 +203,45 @@ def test_call_at_past_raises(sim):
         sim.call_at(1.0, lambda: None)
 
 
+# NaN compares false against every bound: a guard written `x < bound`
+# lets it through and the clock ends up at NaN.
+_NAN = float("nan")
+
+
+def test_nan_timeout_rejected(sim):
+    with pytest.raises(ValueError):
+        sim.timeout(_NAN)
+    with pytest.raises(SimkitError):
+        sim.event().succeed(delay=_NAN)
+    assert sim.queue_empty
+
+
+def test_call_at_nan_rejected(sim):
+    hits = []
+    with pytest.raises(SimkitError):
+        sim.call_at(_NAN, lambda: hits.append(sim.now))
+    sim.run()
+    assert hits == [] and sim.now == 0.0
+
+
+def test_run_until_nan_rejected(sim):
+    def daemon():
+        for _ in range(100):  # bounded, so a regression fails, not hangs
+            yield sim.timeout(1.0)
+
+    sim.process(daemon())
+    with pytest.raises(SimkitError):
+        sim.run(until=_NAN)
+    assert sim.now == 0.0
+
+
+def test_infinite_times_stay_legal(sim):
+    hits = []
+    sim.call_at(float("inf"), lambda: hits.append(sim.now))
+    sim.run(until=float("inf"))
+    assert hits == [float("inf")]
+
+
 def test_event_cannot_trigger_twice(sim):
     ev = sim.event()
     ev.succeed(1)
@@ -443,11 +482,10 @@ def test_determinism_same_seed_same_trace():
     assert run_once() == run_once()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_close_ends_every_live_process_and_empties_the_queue(scheduler):
+def test_close_ends_every_live_process_and_empties_the_queue():
     from repro.simkit import Store
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     store = Store(sim)
     cleaned = []
 
@@ -474,7 +512,7 @@ def test_close_ends_every_live_process_and_empties_the_queue(scheduler):
     sim.close()
     sim.close()  # idempotent
     assert cleaned == ["a", "b"]
-    assert not sim._processes and not sim._sched
+    assert not sim._processes and not sim._queue
     sim.run()  # returns at once: nothing is queued
     assert sim.now == 4.0
     assert ticker.is_alive  # closed, never triggered

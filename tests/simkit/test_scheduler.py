@@ -1,80 +1,92 @@
-"""Differential tests: the calendar-queue scheduler vs the binary heap.
+"""The event queue's order, checked against a ``sorted()`` oracle.
 
-The calendar queue is only admissible as a kernel backend because it
-reproduces the heap's pop order *exactly* — same-instant ties, priority
-games, non-finite timestamps and all.  These tests compare the two
-backends element-wise on randomized operation sequences, then at the
-kernel level (two same-seed simulators, one per backend, must produce
-identical event traces).
+The kernel's pending events are a plain :mod:`heapq` list of
+``(time, priority, tie, seq, event)`` entries.  Every trace in the repo
+rests on its pop order being exactly ``sorted((time, priority, seq))``:
+same-instant ties in insertion order, priorities deciding within an
+instant, infinite timestamps last.  These tests drive a real
+:class:`Simulator` and compare the order its loop dispatches events in
+with a reference that re-sorts a plain list before every pop.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.trace import TraceRecorder, first_divergence
-from repro.simkit import Simulator
-from repro.simkit.sched import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
+from repro.simkit import SimkitError, Simulator
+from repro.simkit.events import LOW, NORMAL, URGENT
 
 _INF = float("inf")
 
 
-# -- randomized pop-order equivalence --------------------------------------
+# -- randomized dispatch order vs sorted() ----------------------------------
 
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_calendar_matches_heap_pop_order(data):
-    """Interleaved pushes and pops: every pop (and peek) agrees with the
-    heap, including exact-tie timestamps drawn from a small shared pool
-    and infinite timestamps."""
-    heap, cal = HeapScheduler(), CalendarQueueScheduler()
-    # A small unique pool forces genuine same-timestamp collisions; the
-    # occasional inf exercises the far-future side heap.
-    pool = data.draw(st.lists(
-        st.floats(min_value=0.0, max_value=1e9,
-                  allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=8, unique=True))
-    pool = pool + [_INF]
+# One scheduled event: how it is made, its delay, its priority, and the
+# (delay, priority) of the child it schedules when dispatched, if any.
+_EVENT = st.tuples(
+    st.sampled_from(["timeout", "succeed", "call_at"]),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([URGENT, NORMAL, LOW]),
+    st.none() | st.tuples(st.integers(min_value=0, max_value=7),
+                          st.sampled_from([URGENT, NORMAL, LOW])),
+)
+
+
+def _reference_order(pool, plan):
+    """The dispatch order as ``(time, priority, seq)``, computed by
+    re-sorting a plain list before every pop."""
+    pending = []
     seq = 0
-    for _ in range(data.draw(st.integers(min_value=1, max_value=150))):
-        if len(heap) and data.draw(st.booleans()):
-            assert cal.peek_time() == heap.peek_time()
-            assert cal.pop() == heap.pop()
-        else:
-            entry = (data.draw(st.sampled_from(pool)),
-                     data.draw(st.integers(min_value=0, max_value=2)),
-                     0, seq, None)
+    for kind, slot, priority, child in plan:
+        seq += 1
+        if kind == "timeout":
+            priority = NORMAL
+        elif kind == "call_at":
+            priority = LOW
+        pending.append((pool[slot], priority, seq, child))
+    order = []
+    while pending:
+        pending = sorted(pending)
+        when, priority, this, child = pending.pop(0)
+        order.append((when, priority, this))
+        if child is not None:
             seq += 1
-            heap.push(entry)
-            cal.push(entry)
-        assert len(cal) == len(heap)
-    while len(heap):
-        assert cal.pop() == heap.pop()
-    assert cal.peek_time() == _INF
+            pending.append((when + pool[child[0]], child[1], seq, None))
+    return order
 
 
-@given(times=st.lists(
-    st.floats(min_value=0.0, max_value=1e12,
-              allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=300))
-@settings(max_examples=60, deadline=None)
-def test_calendar_bulk_drain_is_sorted(times):
-    """Push-everything-then-drain (the resize-heavy shape): the drain is
-    the stable sort of the input, across grow and shrink resizes."""
-    cal = CalendarQueueScheduler(bucket_width=0.5, nbuckets=4, min_buckets=2)
-    entries = [(t, 0, 0, i, None) for i, t in enumerate(times)]
-    for entry in entries:
-        cal.push(entry)
-    drained = [cal.pop() for _ in range(len(entries))]
-    assert drained == sorted(entries)
-    assert len(cal) == 0
+@given(pool=st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5, 3.0, 1e9, _INF]),
+                     min_size=8, max_size=8),
+       plan=st.lists(_EVENT, min_size=1, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_dispatch_order_matches_sorted_reference(pool, plan):
+    """Random delays from a small pool (exact ties, zero, far-future and
+    infinite ones), all three priorities, ``call_at(..., LOW)``, and
+    children scheduled mid-run: the loop dispatches in exactly
+    ``sorted((time, priority, seq))`` order."""
+    sim = Simulator(seed=0)
+    seen = []
+    sim.trace_hooks.append(
+        lambda when, priority, seq, _event: seen.append((when, priority, seq)))
+
+    def spawn(child):
+        if child is not None:
+            sim.event().succeed(delay=pool[child[0]], priority=child[1])
+
+    for kind, slot, priority, child in plan:
+        if kind == "timeout":
+            event = sim.timeout(pool[slot])
+        elif kind == "succeed":
+            event = sim.event().succeed(delay=pool[slot], priority=priority)
+        else:
+            sim.call_at(pool[slot], lambda child=child: spawn(child),
+                        priority=LOW)
+            continue
+        event.callbacks.append(lambda _event, child=child: spawn(child))
+    sim.run()
+    assert seen == _reference_order(pool, plan)
+    assert sim.queue_empty and sim.peek() == _INF
 
 
 # -- kernel-level twin runs ------------------------------------------------
@@ -85,7 +97,6 @@ def _twin_workload(sim: Simulator) -> None:
     interrupted process abandoning a pending timer) and far-future events
     that never fire inside the horizon."""
     from repro.simkit import Interrupt
-    from repro.simkit.events import LOW
 
     def ticker(period, count):
         for _ in range(count):
@@ -95,8 +106,8 @@ def _twin_workload(sim: Simulator) -> None:
         try:
             yield sim.timeout(100.0)
         except Interrupt:
-            # The abandoned timer entry still pops inside the scheduler
-            # (there is no remove); only its callback is inert.
+            # The abandoned timer entry still pops from the queue (there
+            # is no remove); only its callback is inert.
             yield sim.timeout(0.5)
 
     def sleeper():
@@ -118,80 +129,42 @@ def _twin_workload(sim: Simulator) -> None:
 
 
 def test_kernel_twin_traces_identical():
-    traces = {}
-    for kind in ("heap", "calendar"):
-        sim = Simulator(seed=42, scheduler=kind)
+    traces = []
+    for _ in range(2):
+        sim = Simulator(seed=42)
         recorder = TraceRecorder().install(sim)
         _twin_workload(sim)
         sim.run(until=40.0)
-        traces[kind] = recorder
-    assert first_divergence(traces["heap"], traces["calendar"]) is None
-    assert traces["heap"].digest() == traces["calendar"].digest()
-    assert len(traces["heap"]) > 100
+        traces.append(recorder)
+    assert first_divergence(*traces) is None
+    assert traces[0].digest() == traces[1].digest()
+    assert len(traces[0]) > 100
 
 
-# -- calendar-queue unit behaviour ----------------------------------------
+# -- queue edges -------------------------------------------------------------
 
 def test_empty_pop_raises_and_peek_is_inf():
-    cal = CalendarQueueScheduler()
-    assert cal.peek_time() == _INF
-    with pytest.raises(IndexError):
-        cal.pop()
+    """A queue drained by the loop, and one emptied by ``close()``, both
+    read as empty: ``peek()`` is ``inf`` and ``step()`` refuses."""
+    sim = Simulator()
+    for empty in (sim.run, sim.close):
+        sim.timeout(1.0)
+        assert sim.peek() == sim.now + 1.0
+        empty()
+        assert sim.queue_empty and sim.peek() == _INF
+        with pytest.raises(SimkitError):
+            sim.step()
 
 
 def test_infinite_entries_pop_last():
-    cal = CalendarQueueScheduler()
-    cal.push((_INF, 0, 0, 0, None))
-    cal.push((3.0, 0, 0, 1, None))
-    cal.push((_INF, 0, 0, 2, None))
-    assert cal.pop()[0] == 3.0
-    assert cal.pop() == (_INF, 0, 0, 0, None)
-    assert cal.pop() == (_INF, 0, 0, 2, None)
-
-
-def test_resize_grows_and_shrinks():
-    cal = CalendarQueueScheduler(nbuckets=4, min_buckets=2, max_buckets=64)
-    for i in range(100):
-        cal.push((float(i) * 0.1, 0, 0, i, None))
-    assert cal._nb > 4  # grew past the initial bucket count
-    out = [cal.pop()[0] for _ in range(100)]
-    assert out == sorted(out)
-    assert cal._nb <= 4  # shrank back down as the queue drained
-
-
-def test_push_earlier_than_cursor_rewinds():
-    cal = CalendarQueueScheduler(bucket_width=1.0, nbuckets=8)
-    cal.push((50.0, 0, 0, 0, None))
-    assert cal.peek_time() == 50.0  # commits the cursor at day 50
-    cal.push((2.0, 0, 0, 1, None))  # earlier than the committed cursor
-    assert cal.peek_time() == 2.0
-    assert cal.pop()[0] == 2.0
-    assert cal.pop()[0] == 50.0
-
-
-def test_bad_construction_rejected():
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(bucket_width=0.0)
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(nbuckets=0)
-    with pytest.raises(ValueError):
-        CalendarQueueScheduler(min_buckets=8, max_buckets=4)
-
-
-# -- registry / kernel plumbing -------------------------------------------
-
-def test_make_scheduler_resolution():
-    assert isinstance(make_scheduler(None), HeapScheduler)
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarQueueScheduler)
-    custom = CalendarQueueScheduler(bucket_width=2.0)
-    assert make_scheduler(custom) is custom
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("splay")
-    assert set(SCHEDULERS) == {"heap", "calendar"}
-
-
-def test_simulator_scheduler_property():
-    sim = Simulator(scheduler="calendar")
-    assert sim.scheduler.kind == "calendar"
-    assert Simulator().scheduler.kind == "heap"
+    sim = Simulator()
+    first = sim.timeout(_INF)
+    finite = sim.timeout(3.0)
+    second = sim.timeout(_INF)
+    assert sim.peek() == 3.0
+    sim.step()
+    assert finite.processed and sim.now == 3.0
+    order = []
+    sim.trace_hooks.append(lambda when, _p, _s, event: order.append(event))
+    sim.run()
+    assert order == [first, second] and sim.now == _INF
