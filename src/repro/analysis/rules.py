@@ -465,42 +465,90 @@ class YieldRawValueRule(Rule):
 # REP008 — set-iteration
 # ---------------------------------------------------------------------------
 
-def _is_set_expr(node: ast.AST) -> bool:
+_SET_OPS = (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _is_set_expr(node: ast.AST, set_names: Iterable[str] = ()) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
+    if isinstance(node, ast.Name):
+        return node.id in set_names
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        return (_is_set_expr(node.left, set_names)
+                or _is_set_expr(node.right, set_names))
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in ("set", "frozenset"))
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of one scope, not descending into nested ones."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_set_names(func: ast.AST, nodes: list[ast.AST]) -> set[str]:
+    """The names a function binds only by ``name = <set expression>``
+    (never a parameter, a loop target, an unpacking or ``+=``)."""
+    values: dict[str, list[ast.AST]] = {}
+    stores = {arg.arg: 1 for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = stores.get(node.id, 0) + 1
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            values.setdefault(node.targets[0].id, []).append(node.value)
+    names = {name for name, bound in values.items() if len(bound) == stores[name]}
+    while True:  # a name stops counting once a name it is built from does
+        kept = {name for name, bound in values.items() if name in names
+                and all(_is_set_expr(value, names) for value in bound)}
+        if kept == names:
+            return names
+        names = kept
 
 
 @register
 class SetIterationRule(Rule):
     """Iterating a set of strings orders elements by hash; with hash
     randomization that order differs between *processes*, so any sim
-    behaviour derived from it diverges run-to-run.  Sort first."""
+    behaviour derived from it diverges run-to-run.  Sort first.
+
+    A set expression is a set display or comprehension, a ``set()`` or
+    ``frozenset()`` call, set arithmetic (``-``, ``|``, ``&``, ``^``) on
+    one, or a function-local name bound only to such expressions."""
 
     id = "REP008"
     name = "set-iteration"
-    description = ("no iteration over bare set expressions — wrap in "
-                   "sorted(...) for a stable order")
+    description = ("no iteration over set expressions (or local names bound "
+                   "to them) — wrap in sorted(...) for a stable order")
 
     def check(self, module: "SourceModule") -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            iters: list[ast.AST] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                iters.extend(gen.iter for gen in node.generators)
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in ("list", "tuple") and len(node.args) == 1):
-                iters.append(node.args[0])
-            for it in iters:
-                if _is_set_expr(it):
-                    yield self.finding(
-                        module, it,
-                        "iteration over a set expression has hash-dependent "
-                        "order — wrap in sorted(...)",
-                    )
+        for scope in [module.tree, *(node for node in ast.walk(module.tree)
+                                     if isinstance(node, _SCOPES))]:
+            nodes = list(_scope_nodes(scope))
+            set_names = (_local_set_names(scope, nodes) if isinstance(
+                scope, (ast.FunctionDef, ast.AsyncFunctionDef)) else set())
+            for node in nodes:
+                iters: list[ast.AST] = []
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iters.append(node.iter)
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                    iters.extend(gen.iter for gen in node.generators)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("list", "tuple") and len(node.args) == 1):
+                    iters.append(node.args[0])
+                for it in iters:
+                    if _is_set_expr(it, set_names):
+                        yield self.finding(
+                            module, it,
+                            "iteration over a set expression has hash-dependent "
+                            "order — wrap in sorted(...)",
+                        )
 
 
 # ---------------------------------------------------------------------------

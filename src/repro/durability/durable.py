@@ -13,8 +13,9 @@ checkpoint snapshot plus the trustworthy WAL prefix.
 Replay is exact because every mutator is atomic: all validation happens
 before the first state change, so an operation either fully applies or
 leaves the store untouched.  A logged operation that *failed* when it was
-first attempted (write-once violation, schema error) deterministically
-fails again on replay and is skipped — recovering the same end state.
+first attempted (a tag on an unknown dataset; registrations are checked
+before they are logged) deterministically fails again on replay and is
+skipped — recovering the same end state.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.metadata.errors import (
 from repro.metadata.records import DatasetRecord, ProcessingRecord
 from repro.metadata.schema import Schema
 from repro.metadata.store import MetadataStore, ProjectInfo
-from repro.durability.wal import WriteAheadLog
+from repro.durability.wal import WriteAheadLog, canonical
 
 _SNAPSHOT_KIND = "lsdf-metadata-snapshot"
 
@@ -124,25 +125,14 @@ class DurableMetadataStore(MetadataStore):
         created: float = 0.0,
         tags: Iterable[str] = (),
     ) -> DatasetRecord:
-        if not self._available:  # outage rejections are not WAL-worthy
-            raise MetadataUnavailableError("metadata repository is down")
-        self._log(
-            "register_dataset",
-            {
-                "dataset_id": dataset_id,
-                "project": project,
-                "url": url,
-                "size": int(size),
-                "checksum": checksum,
-                "basic": dict(basic),
-                "created": float(created),
-                "tags": sorted(tags),
-            },
-        )
-        record = super().register_dataset(
-            dataset_id, project, url, size, checksum, basic,
-            created=created, tags=tags,
-        )
+        """Check, log, apply.  A rejected registration is never logged; the
+        WAL record's ``args`` are the record's canonical encoding (with
+        ``"processing": []``), which is also its checkpoint fragment."""
+        record = self._new_record(dataset_id, project, url, size, checksum,
+                                  basic, created, tags)
+        fragment = canonical(record.to_dict())
+        self._log("register_dataset", fragment)
+        self._index_record(record, fragment)
         self._maybe_snapshot()
         return record
 
@@ -168,54 +158,42 @@ class DurableMetadataStore(MetadataStore):
         if not self._available:
             raise MetadataUnavailableError("metadata repository is down")
         seen: set[str] = set()
+        records = []
         for item in items:
-            dataset_id = item["dataset_id"]
-            if dataset_id in self._datasets or dataset_id in seen:
+            if item["dataset_id"] in seen:
                 raise WriteOnceError(
-                    f"dataset {dataset_id!r} already registered")
-            seen.add(dataset_id)
-            info = self.project(item["project"])
-            info.basic_schema.validate(item["basic"])
-        if not self._replaying:
-            self.wal.append_batch([
-                (
-                    "register_dataset",
-                    {
-                        "dataset_id": item["dataset_id"],
-                        "project": item["project"],
-                        "url": item["url"],
-                        "size": int(item["size"]),
-                        "checksum": item["checksum"],
-                        "basic": dict(item["basic"]),
-                        "created": float(item.get("created", 0.0)),
-                        "tags": sorted(item.get("tags", ())),
-                    },
-                )
-                for item in items
-            ])
-            self._appends_since_snapshot += len(items)
-        records = [
-            MetadataStore.register_dataset(
-                self,
-                item["dataset_id"], item["project"], item["url"],
-                item["size"], item["checksum"], item["basic"],
-                created=item.get("created", 0.0),
-                tags=item.get("tags", ()),
-            )
-            for item in items
-        ]
+                    f"dataset {item['dataset_id']!r} already registered")
+            seen.add(item["dataset_id"])
+            records.append(self._new_record(**item))
+        fragments = [canonical(record.to_dict()) for record in records]
+        self.wal.append_batch(
+            [("register_dataset", fragment) for fragment in fragments])
+        self._appends_since_snapshot += len(items)
+        for record, fragment in zip(records, fragments):
+            self._index_record(record, fragment)
         self._maybe_snapshot()
         return records
 
     def _reset(self) -> None:
         super()._reset()
-        # Each record's canonical JSON (UTF-8) as the last checkpoint wrote
-        # it; a record without one is stale (new, or changed since).
-        self._fragments: dict[str, bytes] = {}
+        # Kept only with snapshot_every: each record's canonical encoding in
+        # catalogue order, and (a dict as an ordered set) the records whose
+        # encoding is stale, changed or recovered since it was made.
+        self._fragments: dict[str, Optional[bytes]] = {}
+        self._stale: dict[str, None] = {}
 
-    def _index_record(self, record: DatasetRecord) -> None:
+    def _index_record(self, record: DatasetRecord,
+                      fragment: Optional[bytes] = None) -> None:
+        """Index a record; without its encoding (recovery) it is stale."""
         super()._index_record(record)
-        self._fragments.pop(record.dataset_id, None)
+        if self.snapshot_every is not None:
+            self._fragments[record.dataset_id] = fragment
+            if fragment is None:
+                self._stale[record.dataset_id] = None
+
+    def _mark_stale(self, dataset_id: str) -> None:
+        if self.snapshot_every is not None:
+            self._stale[dataset_id] = None
 
     def add_processing(
         self,
@@ -245,20 +223,20 @@ class DurableMetadataStore(MetadataStore):
             dataset_id, name, params, results, started, finished,
             status=status, parent=parent,
         )
-        self._fragments.pop(dataset_id, None)
+        self._mark_stale(dataset_id)
         self._maybe_snapshot()
         return step
 
     def tag(self, dataset_id: str, *tags: str) -> None:
         self._log("tag", {"dataset_id": dataset_id, "tags": list(tags)})
         super().tag(dataset_id, *tags)
-        self._fragments.pop(dataset_id, None)
+        self._mark_stale(dataset_id)
         self._maybe_snapshot()
 
     def untag(self, dataset_id: str, *tags: str) -> None:
         self._log("untag", {"dataset_id": dataset_id, "tags": list(tags)})
         super().untag(dataset_id, *tags)
-        self._fragments.pop(dataset_id, None)
+        self._mark_stale(dataset_id)
         self._maybe_snapshot()
 
     def index_field(self, name: str) -> None:
@@ -276,60 +254,45 @@ class DurableMetadataStore(MetadataStore):
         hence their :meth:`state_bytes`) are equal — the recovery tests
         compare these byte-for-byte.
         """
-        return dict(self._head(), datasets=[
+        return dict(self._head(_SNAPSHOT_KIND), datasets=[
             record.to_dict() for record in self._datasets.values()])
-
-    def _head(self) -> dict:
-        """:meth:`state_dict` without the datasets."""
-        return {
-            "kind": _SNAPSHOT_KIND,
-            "version": 1,
-            "projects": [
-                {
-                    "name": info.name,
-                    "basic_schema": info.basic_schema.to_dict(),
-                    "processing_schemas": {
-                        step: schema.to_dict()
-                        for step, schema in info.processing_schemas.items()
-                    },
-                }
-                for info in self._projects.values()
-            ],
-            "indexed_fields": sorted(self._field_indexes),
-            "step_seq": self._step_seq,
-        }
 
     def state_bytes(self) -> bytes:
         """Canonical byte serialisation of :meth:`state_dict`.
 
-        One ``json.dumps`` and stores no fragments: comparing two stores'
-        states must not leave a copy of each catalogue behind, and a
-        splice would cost one more catalogue-sized buffer.
+        One encoding that reads and stores no fragments: comparing two
+        stores' states must not leave a copy of each catalogue behind,
+        and a splice would cost one more catalogue-sized buffer.
         """
-        return json.dumps(self.state_dict(), sort_keys=True).encode("utf-8")
+        return canonical(self.state_dict())
 
     def snapshot(self) -> bytes:
         """Checkpoint: persist the full state, then clear the WAL.
 
-        Writes exactly :meth:`state_bytes`, but re-encodes only the
-        records changed since the last checkpoint; the rest are spliced
-        in from their stored fragments.  ``"datasets"`` sorts before every
-        head key, so the document is the datasets array followed by the
-        rest of the encoded head.  One join builds it in a single buffer.
+        Writes exactly :meth:`state_bytes`; with ``snapshot_every`` it
+        re-encodes only stale records.  ``"datasets"`` sorts before every
+        head key, so one join of the record encodings, the array's opening
+        spliced into the first and the encoded head into the last, builds
+        the document in a single buffer.
         """
-        fragments = self._fragments
-        pieces = [b'{"datasets": [']
-        for dataset_id, record in self._datasets.items():
-            fragment = fragments.get(dataset_id)
-            if fragment is None:
-                fragment = fragments[dataset_id] = json.dumps(
-                    record.to_dict(), sort_keys=True).encode("utf-8")
-            pieces += (fragment, b", ")
-        if len(pieces) > 1:
-            pieces.pop()  # no separator after the last record
-        head = json.dumps(self._head(), sort_keys=True).encode("utf-8")
-        pieces += (b"], ", head[1:])
-        data = b"".join(pieces)
+        datasets = self._datasets
+        if self.snapshot_every is None:
+            pieces = [canonical(record.to_dict())
+                      for record in datasets.values()]
+        else:
+            fragments = self._fragments
+            for dataset_id in self._stale:
+                fragments[dataset_id] = canonical(
+                    datasets[dataset_id].to_dict())
+            self._stale.clear()
+            pieces = list(fragments.values())
+        head = canonical(self._head(_SNAPSHOT_KIND))[1:]
+        if pieces:
+            pieces[0] = b'{"datasets": [' + pieces[0]
+            pieces[-1] += b"], " + head
+        else:
+            pieces = [b'{"datasets": [], ' + head]
+        data = b", ".join(pieces)
         self.wal.checkpoint(data)
         self._appends_since_snapshot = 0
         self.snapshots += 1
@@ -339,20 +302,7 @@ class DurableMetadataStore(MetadataStore):
         state = json.loads(data.decode("utf-8"))
         if state.get("kind") != _SNAPSHOT_KIND:
             raise MetadataError("not a metadata snapshot")
-        for proj in state["projects"]:
-            super().register_project(
-                proj["name"],
-                Schema.from_dict(proj["basic_schema"]),
-                {
-                    step: Schema.from_dict(sdata)
-                    for step, sdata in proj["processing_schemas"].items()
-                },
-            )
-        for payload in state["datasets"]:
-            self._index_record(DatasetRecord.from_dict(payload))
-        self._step_seq = int(state["step_seq"])
-        for name in state["indexed_fields"]:
-            super().index_field(name)
+        self._restore(state, state["datasets"])  # replaying: nothing is logged
 
     # -- crash / recovery -------------------------------------------------------
     def crash(self, torn_tail_bytes: int = 0) -> None:

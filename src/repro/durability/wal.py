@@ -35,9 +35,17 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Optional
 
 _HEADER = struct.Struct("<II")  # (payload length, payload crc32)
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def canonical(obj: Any) -> bytes:
+    """``json.dumps(obj, sort_keys=True)`` as UTF-8 bytes: the one encoding
+    WAL records and metadata checkpoints share."""
+    return _ENCODER.encode(obj).encode()
 
 
 class WalError(Exception):
@@ -46,18 +54,21 @@ class WalError(Exception):
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One decoded log record."""
+    """One log record; ``args`` may be pre-encoded :func:`canonical` bytes."""
 
     seq: int
     op: str
-    args: dict
+    args: dict | bytes
 
     def encode(self) -> bytes:
-        """The framed on-medium form of this record."""
-        payload = json.dumps(
-            {"seq": self.seq, "op": self.op, "args": self.args},
-            sort_keys=True,
-        ).encode("utf-8")
+        """The framed on-medium form of this record.  Bytes ``args`` are
+        spliced in; the keys sort as written, so the payload is exactly
+        :func:`canonical` of the record."""
+        args = self.args
+        if not isinstance(args, bytes):
+            args = canonical(args)
+        payload = b'{"args": %b, "op": %b, "seq": %d}' % (
+            args, encode_basestring_ascii(self.op).encode(), self.seq)
         return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
     @classmethod
@@ -205,16 +216,17 @@ class WriteAheadLog:
         return result.records[-1].seq if result.records else 0
 
     # -- writing ------------------------------------------------------------
-    def append(self, op: str, args: Mapping[str, Any]) -> WalRecord:
-        """Frame and append one operation record; returns the record."""
+    def append(self, op: str, args: Mapping[str, Any] | bytes) -> WalRecord:
+        """Frame and append one operation record; returns the record.
+        ``args`` is a mapping or its :func:`canonical` bytes."""
         self._seq += 1
-        record = WalRecord(seq=self._seq, op=op, args=dict(args))
+        record = WalRecord(seq=self._seq, op=op, args=args)
         self.storage.append(record.encode())
         self.appended += 1
         return record
 
     def append_batch(
-        self, ops: list[tuple[str, Mapping[str, Any]]]
+        self, ops: list[tuple[str, Mapping[str, Any] | bytes]]
     ) -> list[WalRecord]:
         """Frame N operation records and append them in ONE storage flush.
 
@@ -223,18 +235,15 @@ class WriteAheadLog:
         record.  The bytes on the medium are identical to ``len(ops)``
         sequential :meth:`append` calls — same seqs, same framing — so
         replay (and crash-replay equivalence) is unchanged, and a torn
-        tail still invalidates only the records past the tear.
+        tail still invalidates only the records past the tear.  ``args``
+        are taken as by :meth:`append`.
         """
         if not ops:
             return []
-        buffer = bytearray()
-        records: list[WalRecord] = []
-        for op, args in ops:
-            self._seq += 1
-            record = WalRecord(seq=self._seq, op=op, args=dict(args))
-            records.append(record)
-            buffer.extend(record.encode())
-        self.storage.append(bytes(buffer))
+        records = [WalRecord(seq=seq, op=op, args=args)
+                   for seq, (op, args) in enumerate(ops, self._seq + 1)]
+        self.storage.append(b"".join([record.encode() for record in records]))
+        self._seq += len(records)
         self.appended += len(records)
         self.group_commits += 1
         return records

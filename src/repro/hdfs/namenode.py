@@ -264,7 +264,7 @@ class NameNode:
     def replication_target(self, block: Block) -> Optional[str]:
         """Pick a node for a new replica of an under-replicated block."""
         existing = set(block.replicas)
-        existing_racks = {self.nodes[r].rack for r in existing}
+        existing_racks = {self.nodes[r].rack for r in block.replicas}
         live = [n for n in self.live_nodes() if n.name not in existing]
         # Prefer restoring rack diversity.
         off_rack = [n for n in live if n.rack not in existing_racks]

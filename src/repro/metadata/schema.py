@@ -19,13 +19,13 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.metadata.errors import SchemaError
 
-_TYPE_MAP: dict[str, type | tuple[type, ...]] = {
-    "str": str,
-    "int": int,
+_TYPE_MAP: dict[str, tuple[type, ...]] = {
+    "str": (str,),
+    "int": (int,),
     "float": (int, float),
-    "bool": bool,
-    "list": list,
-    "dict": dict,
+    "bool": (bool,),
+    "list": (list,),
+    "dict": (dict,),
 }
 
 
@@ -64,6 +64,11 @@ class FieldSpec:
             raise ValueError(f"field {self.name!r}: unknown type {self.type!r}")
         if self.required and self.default is not None:
             raise ValueError(f"field {self.name!r}: required fields cannot have defaults")
+        # The WAL logs validated records and replay validates them again,
+        # which gives the same record only if a filled-in default conforms.
+        if self.default is not None and self.check(self.default):
+            raise ValueError(f"field {self.name!r}: default {self.default!r} "
+                             "does not conform")
 
     def check(self, value: Any) -> Optional[str]:
         """Return an error message for ``value``, or None if it conforms."""
@@ -111,6 +116,13 @@ class Schema:
             if spec.name in self.fields:
                 raise ValueError(f"schema {name!r}: duplicate field {spec.name!r}")
             self.fields[spec.name] = spec
+        # Per field, the exact types that conform without FieldSpec.check
+        # (none with choices or a validator; bool is not int's exact type).
+        self._plain: dict[str, tuple[type, ...]] = {
+            spec.name: () if spec.choices is not None or spec.validator is not None
+            else _TYPE_MAP[spec.type]
+            for spec in self.fields.values()
+        }
 
     def validate(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Normalise ``record``; raise :class:`SchemaError` on violations.
@@ -120,18 +132,23 @@ class Schema:
         """
         errors: list[str] = []
         out: dict[str, Any] = {}
+        plain = self._plain
         for name, spec in self.fields.items():
             if name in record:
-                message = spec.check(record[name])
-                if message:
-                    errors.append(message)
-                else:
-                    out[name] = record[name]
+                value = record[name]
+                if type(value) not in plain[name]:
+                    message = spec.check(value)
+                    if message:
+                        errors.append(message)
+                        continue
+                out[name] = value
             elif spec.required:
                 errors.append(f"{name}: required field missing")
             elif spec.default is not None:
                 out[name] = spec.default
-        extra = set(record) - set(self.fields)
+        # In the record's own order: a set's order would follow the hash
+        # seed into the saved store.
+        extra = [key for key in record if key not in self.fields]
         if extra:
             if self.allow_extra:
                 for key in extra:

@@ -212,13 +212,23 @@ class MetadataStore:
         tags: Iterable[str] = (),
     ) -> DatasetRecord:
         """Register a new dataset with validated, write-once basic metadata."""
+        record = self._new_record(dataset_id, project, url, size, checksum,
+                                  basic, created, tags)
+        self._index_record(record)
+        return record
+
+    def _new_record(self, dataset_id: str, project: str, url: str, size: int,
+                    checksum: str, basic: Mapping[str, Any], created: float = 0.0,
+                    tags: Iterable[str] = ()) -> DatasetRecord:
+        """The record :meth:`register_dataset` would enter, after every
+        check it runs (availability, write-once, project, schema); changes
+        nothing."""
         if not self._available:
             raise MetadataUnavailableError("metadata repository is down")
         if dataset_id in self._datasets:
             raise WriteOnceError(f"dataset {dataset_id!r} already registered")
-        info = self.project(project)
-        validated = info.basic_schema.validate(basic)
-        record = DatasetRecord(
+        validated = self.project(project).basic_schema.validate(basic)
+        return DatasetRecord(
             dataset_id=dataset_id,
             project=project,
             url=url,
@@ -228,8 +238,6 @@ class MetadataStore:
             basic=validated,
             tags=set(tags),
         )
-        self._index_record(record)
-        return record
 
     def get(self, dataset_id: str) -> DatasetRecord:
         """Fetch a dataset record."""
@@ -362,27 +370,50 @@ class MetadataStore:
         return sum(1 for _ in self._matching(q, False))
 
     # -- persistence -----------------------------------------------------------------
+    def _head(self, kind: str) -> dict:
+        """Everything but the records: what :meth:`save` writes first."""
+        return {
+            "kind": kind,
+            "version": 1,
+            "projects": [
+                {
+                    "name": info.name,
+                    "basic_schema": info.basic_schema.to_dict(),
+                    "processing_schemas": {
+                        step: schema.to_dict()
+                        for step, schema in info.processing_schemas.items()
+                    },
+                }
+                for info in self._projects.values()
+            ],
+            "indexed_fields": sorted(self._field_indexes),
+            "step_seq": self._step_seq,
+        }
+
+    def _restore(self, head: Mapping[str, Any],
+                 records: Iterable[Mapping[str, Any]]) -> None:
+        """Rebuild from a :meth:`_head` and record dicts.  Records skip
+        re-validation (the schema may have moved on, additively); step ids
+        continue where the saved store stopped."""
+        for proj in head["projects"]:
+            self.register_project(
+                proj["name"],
+                Schema.from_dict(proj["basic_schema"]),
+                {
+                    step: Schema.from_dict(sdata)
+                    for step, sdata in proj.get("processing_schemas", {}).items()
+                },
+            )
+        self._step_seq = int(head.get("step_seq", 0))
+        for data in records:
+            self._index_record(DatasetRecord.from_dict(data))
+        for name in head.get("indexed_fields", []):
+            self.index_field(name)
+
     def save(self, path: str | os.PathLike) -> None:
         """Persist projects and datasets to a JSONL file."""
         with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "kind": "lsdf-metadata-store",
-                "version": 1,
-                "projects": [
-                    {
-                        "name": info.name,
-                        "basic_schema": info.basic_schema.to_dict(),
-                        "processing_schemas": {
-                            step: schema.to_dict()
-                            for step, schema in info.processing_schemas.items()
-                        },
-                    }
-                    for info in self._projects.values()
-                ],
-                "indexed_fields": sorted(self._field_indexes),
-                "step_seq": self._step_seq,
-            }
-            fh.write(json.dumps(header) + "\n")
+            fh.write(json.dumps(self._head("lsdf-metadata-store")) + "\n")
             for record in self._datasets.values():
                 fh.write(json.dumps(record.to_dict()) + "\n")
 
@@ -394,27 +425,8 @@ class MetadataStore:
             header = json.loads(fh.readline())
             if header.get("kind") != "lsdf-metadata-store":
                 raise MetadataError(f"{path}: not a metadata-store file")
-            for proj in header["projects"]:
-                store.register_project(
-                    proj["name"],
-                    Schema.from_dict(proj["basic_schema"]),
-                    {
-                        step: Schema.from_dict(sdata)
-                        for step, sdata in proj.get("processing_schemas", {}).items()
-                    },
-                )
-            # Step ids keep counting where the saved store stopped, so a
-            # step added after the load never reuses an existing id.
-            store._step_seq = int(header.get("step_seq", 0))
-            for line in fh:
-                if not line.strip():
-                    continue
-                data = json.loads(line)
-                # Bypass schema re-validation: the data was validated at write
-                # time and the schema version may have moved on (additive).
-                store._index_record(DatasetRecord.from_dict(data))
-            for name in header.get("indexed_fields", []):
-                store.index_field(name)
+            store._restore(header, (json.loads(line) for line in fh
+                                    if line.strip()))
         return store
 
     # -- reporting ------------------------------------------------------------------

@@ -187,6 +187,51 @@ class TestSetIteration:
         src = "ok = name in {'a', 'b'}\n"
         assert _rules(src) == []
 
+    @pytest.mark.parametrize("src", [
+        # set arithmetic in the iteration position
+        "for k in set(a) | set(b):\n    use(k)\n",
+        # a local bound to set arithmetic (Schema.validate's extras)
+        "def f(record, fields):\n"
+        "    extra = set(record) - set(fields)\n"
+        "    for key in extra:\n"
+        "        use(key)\n",
+        # a local bound to a set call, iterated by a comprehension
+        "def f(block):\n"
+        "    existing = set(block.replicas)\n"
+        "    return {rack(r) for r in existing}\n",
+        # arithmetic on a set local, then list()
+        "def f(a, b):\n    s = {x for x in a}\n    t = s & b\n"
+        "    return list(t)\n",
+        # a frozenset bound twice
+        "def f(a, b):\n    s = frozenset(a)\n    if b:\n        s = s - b\n"
+        "    for x in s:\n        use(x)\n",
+        # inside a nested function, its own local
+        "def f(a):\n    def g(b):\n        s = set(b)\n"
+        "        return [x for x in s]\n    return g(a)\n",
+    ], ids=["arithmetic", "bound-arithmetic", "bound-call", "chained",
+            "rebound-frozenset", "nested"])
+    def test_flags_local_set_names_and_arithmetic(self, src):
+        assert _rules(src) == ["set-iteration"]
+
+    @pytest.mark.parametrize("src", [
+        "def f(a):\n    s = set(a)\n    for x in sorted(s):\n        use(x)\n",
+        "def f(a):\n    s = set(a)\n    s = sorted(s)\n"
+        "    for x in s:\n        use(x)\n",
+        "def f(s):\n    for x in s:\n        use(x)\n",
+        "def f(a, b):\n    n = a - b\n    for x in n:\n        use(x)\n",
+        "def f(a, x):\n    s = set(a)\n    return x in s\n",
+        "def f(a):\n    s = set(a)\n    return len(s)\n"
+        "def g(s):\n    for x in s:\n        use(x)\n",
+        "def f(groups):\n    for s in groups:\n        use(s)\n"
+        "    s = set()\n    for x in s:\n        use(x)\n",
+        "def f(a, b):\n    s = set(a)\n    s += b\n"
+        "    for x in s:\n        use(x)\n",
+        "S = set(a)\nfor x in S:\n    use(x)\n",
+    ], ids=["sorted", "rebound", "parameter", "number", "membership",
+            "other-function", "loop-target", "augmented", "module-level"])
+    def test_clean_names_that_are_not_local_sets(self, src):
+        assert _rules(src) == []
+
 
 class TestRegistry:
     def test_all_rules_have_unique_ids(self):

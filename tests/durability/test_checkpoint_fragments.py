@@ -134,15 +134,32 @@ def test_checkpoints_equal_full_reencode(operations, snapshot_every):
 
 
 def test_state_bytes_stores_no_fragments():
-    """Comparing states must not leave a copy of the catalogue behind."""
+    """Comparing states must not leave a copy of the catalogue behind,
+    and a mutation makes exactly the changed record's fragment stale."""
+    store = DurableMetadataStore(snapshot_every=1000)
+    store.register_project("zebra", Schema("basic", []))
+    for i in range(3):
+        store.register_dataset(f"d{i}", "zebra", f"u{i}", 1, "c", {},
+                               tags=["raw"])
+    kept = dict(store._fragments)
+    assert list(kept) == ["d0", "d1", "d2"] and store._stale == {}
+    store.state_bytes()
+    assert store._fragments == kept and store._stale == {}
+    store.untag("d1", "raw")
+    assert list(store._stale) == ["d1"]
+    store.snapshot()
+    assert store._stale == {}
+    assert store._fragments["d0"] is kept["d0"]
+    assert store._fragments["d1"] != kept["d1"]
+
+
+def test_store_without_snapshot_every_keeps_no_fragments():
+    """A store that never checkpoints itself keeps no per-record bytes."""
     store = DurableMetadataStore()
     store.register_project("zebra", Schema("basic", []))
     for i in range(3):
         store.register_dataset(f"d{i}", "zebra", f"u{i}", 1, "c", {},
                                tags=["raw"])
-    store.state_bytes()
-    assert store._fragments == {}
-    store.snapshot()
-    assert sorted(store._fragments) == ["d0", "d1", "d2"]
     store.untag("d1", "raw")
-    assert sorted(store._fragments) == ["d0", "d2"]
+    assert store.snapshot() == _canonical(store)
+    assert store._fragments == {} and store._stale == {}

@@ -160,23 +160,25 @@ class TestFacilityIngestPath:
     # sort_keys=True) for seeds 16-18, recorded when the DAQ buffer still
     # ran on a simkit Store and every frame took helper processes: the
     # event-chain path must not change a single answer.  The pure-python
-    # random fallback draws a different stream, hence its own pins.
+    # random fallback draws a different stream, hence its own pins.  The
+    # stats pins moved once since, with the register_dataset WAL layout:
+    # only durability.metadata.wal_bytes changed (18 bytes per record).
     _PINS = {
         True: {
             16: ("96c6373c244a809ed63ba924065b87502a48eb6452e18712692cb27d5c7d5a12",
-                 "15e4baca2b3edc1a73059717b6e7b7480b162d8711e67ad29b43c648d1008784"),
+                 "6947898cf0811f15ea9a87e6025697be8c89fcbcf7f6118f108b1f40e5ccbccf"),
             17: ("3e175c8e21d4bcace38211f13039a904baf2fde340a6b4360050d9798cc92b71",
-                 "9678f76f665d8d15243ef75e41d0fc7d7341a19616f1867133148b35d83c16fc"),
+                 "75dee33e8b954bb4c72a5ba5c32fac26adb4b281456a394aedc475b5c7b02875"),
             18: ("80cc91fa99cc38a3e29978fa37722fd10e51c357e93e6bd5abc6b63c67e59db4",
-                 "cc5aa9bb9c99959ef3d5d1671724f463a6cdf3fae500094704dbbb32514de132"),
+                 "21a65b039b0479ed75e4f3a0d55f2e084610af414ba979db13cd694b29ede662"),
         },
         False: {
             16: ("3a1dca8ae93a578ac2a15fe73995e309e0044e69dbfd96a53287d36e0031546d",
-                 "f5f0218908a2630114289c45157523f1f5a5d9ca24938a5863aa2805ad757939"),
+                 "383442123d891b0a29ef2dff2961c31f40186c25aeb2d65619d6b2d924d204f4"),
             17: ("ea1f762f414139efb3e5814126fbeea71ef09d3b79c094dc4897614bd94f4c38",
-                 "26b65c264892d68abd897924ccf0d2476a9864857ded674ecf5762b1fa2b5b6b"),
+                 "80792333e0c93b31ebd32666d43618745629a811268af7960986e656375575ad"),
             18: ("33db632a4be5afe79c596cf9d23c536fd324313b15536aedfbf3a9d3ca7b41f0",
-                 "fa7131fddab8d80867eb17679104bfbe58f3d15bbd13daf33ea9bd43ef34ba52"),
+                 "a28a7a9a4a166719846159a01d8da45584240977b1fd535eeeeec13a50b668ec"),
         },
     }
 

@@ -29,6 +29,12 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec("x", "int", required=True, default=1)
 
+    def test_nonconforming_default_rejected(self):
+        with pytest.raises(ValueError, match="does not conform"):
+            FieldSpec("x", "int", default="a")
+        with pytest.raises(ValueError, match="does not conform"):
+            FieldSpec("x", "str", choices=("a", "b"), default="c")
+
     def test_bool_not_accepted_as_int(self):
         spec = FieldSpec("x", "int")
         assert spec.check(True) is not None
@@ -84,6 +90,33 @@ class TestValidate:
     def test_list_type(self):
         out = _schema().validate({"plate": 1, "well": "A", "flags": ["a"]})
         assert out["flags"] == ["a"]
+
+    def test_extra_fields_keep_the_record_order(self):
+        record = {"plate": 1, "well": "A01", "zeta": 1, "alpha": 2, "mu": 3}
+        out = _schema(allow_extra=True).validate(record)
+        assert list(out)[-3:] == ["zeta", "alpha", "mu"]
+
+    @pytest.mark.parametrize("kind", ["str", "int", "float", "bool", "list",
+                                      "dict"])
+    @pytest.mark.parametrize("narrowed", ["plain", "choices", "validator"])
+    def test_outcome_is_the_field_check(self, kind, narrowed):
+        """Values that skip FieldSpec.check end exactly as check says."""
+        class Text(str):
+            pass
+
+        spec = FieldSpec(
+            "x", kind,
+            choices=(1, "a", True) if narrowed == "choices" else None,
+            validator=(lambda v: v != 0) if narrowed == "validator" else None)
+        schema = Schema("one", [spec])
+        for value in ("a", Text("a"), 0, 1, True, 1.5, [1], {"k": 1}, None):
+            message = spec.check(value)
+            if message is None:
+                assert schema.validate({"x": value}) == {"x": value}
+            else:
+                with pytest.raises(SchemaError) as excinfo:
+                    schema.validate({"x": value})
+                assert str(excinfo.value).endswith(message)
 
 
 class TestEvolution:

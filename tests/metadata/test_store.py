@@ -1,5 +1,10 @@
 """Tests for the metadata repository (store-level behaviour + hypothesis)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +19,8 @@ from repro.metadata import (
     WriteOnceError,
 )
 from repro.metadata.errors import MetadataError, UnknownProjectError
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _store():
@@ -212,6 +219,27 @@ class TestPersistence:
         path.write_text('{"kind": "something-else"}\n')
         with pytest.raises(MetadataError):
             MetadataStore.load(path)
+
+    def test_saved_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Extra basic-metadata keys keep the record's order, not a set's."""
+        script = (
+            "import sys\n"
+            "from repro.metadata import FieldSpec, MetadataStore, Schema\n"
+            "store = MetadataStore()\n"
+            "store.register_project('free', Schema(\n"
+            "    'free', [FieldSpec('run', 'int')], allow_extra=True))\n"
+            "store.register_dataset('d0', 'free', 'adal://lsdf/d0', 1, 'c',\n"
+            "    {'run': 1, 'alpha': 1, 'beta': 2, 'gamma': 3})\n"
+            "store.save(sys.argv[1])\n")
+        path_var = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+        saved = []
+        for seed in ("1", "2"):  # the two orders differed before the fix
+            path = tmp_path / f"seed{seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path_var)
+            subprocess.run([sys.executable, "-c", script, str(path)],
+                           env=env, check=True, timeout=120)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestStats:
