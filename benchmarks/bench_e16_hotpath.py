@@ -41,11 +41,13 @@ _MIN_SPEEDUP = 2.0
 _MIN_FLUID_SPEEDUP = 10.0
 
 def _solves_row(result) -> tuple[str, str, str]:
-    """A rebalance skips its solve only after a reroute that leaves every
-    path unchanged (``test_noop_topology_event_skips_the_solve``).  This
-    scenario has no topology events, so every pass solves; both arms
-    assert it."""
-    return ("fair-share solves (skipped)", "every pass; no reroute",
+    """A rebalance skips its solve after a reroute that leaves every path
+    unchanged (``test_noop_topology_event_skips_the_solve``), or when the
+    flows have the paths and weights of the solution the current one
+    replaced: an ingest batch leaving the background flows it squeezed, or
+    the next batch taking its place (``TestRestoredFlowSet``).  Every pass
+    either solves or skips; both arms assert it, and that reuse happens."""
+    return ("fair-share solves (skipped)", "solved + skipped = all",
             f"{result.solves:,} of {result.rebalances:,} passes "
             f"({result.solves_skipped:,} skipped)")
 
@@ -93,7 +95,8 @@ def test_e16_hotpath_speedup(benchmark, report):
     # The scenario actually exercised both subsystems under load.
     assert profiled.frames > 0 and profiled.background_flows > 0
     assert profiled.solves > 0
-    assert profiled.solves == profiled.rebalances and not profiled.solves_skipped
+    assert profiled.solves + profiled.solves_skipped == profiled.rebalances
+    assert profiled.solves_skipped > 0
     # Route caching works: repeat pairs on a stable topology never re-run
     # pathfinding.
     assert hit_ratio > 0.9
@@ -132,7 +135,8 @@ def test_e16_fluid_arm_speedup(benchmark, report):
     # the per-frame arm (profiling observes, never perturbs).
     assert warm.deterministic() == profiled.deterministic()
     assert profiled.frames > 0 and profiled.background_flows > 0
-    assert profiled.solves == profiled.rebalances and not profiled.solves_skipped
+    assert profiled.solves + profiled.solves_skipped == profiled.rebalances
+    assert profiled.solves_skipped > 0
     # The tentpole gate: rate-interval ingest cuts interpreter work per
     # frame at least 10x against the PR 5 merge-base baseline.
     assert speedup >= _MIN_FLUID_SPEEDUP, (

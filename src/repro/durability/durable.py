@@ -246,6 +246,15 @@ class DurableMetadataStore(MetadataStore):
         super().index_field(name)
         self._maybe_snapshot()
 
+    @classmethod
+    def load(cls, path) -> "DurableMetadataStore":
+        """Load a :meth:`save` file and checkpoint it at once: the restore
+        enters records without logging them, so until the checkpoint a
+        crash would lose the catalogue."""
+        store = super().load(path)
+        store.snapshot()
+        return store
+
     # -- snapshot / state ------------------------------------------------------
     def state_dict(self) -> dict:
         """The complete repository state in canonical JSON-ready form.

@@ -2,22 +2,20 @@
 
 :func:`maxmin_rates` implements weighted max-min fairness by progressive
 filling — the standard model of what long-lived TCP flows converge to on a
-shared network, and the default for all experiments.  It is the optimized
-production solver: per-link weight sums are cached between filling rounds
-and recomputed only for links whose membership changed, and frozen flows
-are collected from the saturated links directly instead of rescanning the
-whole active set.
+shared network, and the default for all experiments.  It validates its
+inputs (:func:`_setup`) and runs :func:`_fill`, the optimized filling
+routine the network engine also runs on the inputs it tracks: per-link
+weight sums are cached between rounds and recomputed only for links whose
+membership changed, and frozen flows are collected from the saturated
+links directly instead of rescanning the whole active set.
 
 The naive oracle it is tested against lives beside the tests
 (``tests/netsim/reference.py``): every round recomputes every link's weight
-sum from scratch.  Both solvers perform *bit-identical arithmetic*: they
-build the same insertion-ordered membership maps (via :func:`_setup`), sum
-weights left-to-right over the same element order, freeze flows in the same
-order, and apply capacity subtractions in the same sequence.  The
-differential property tests (``tests/netsim/test_differential.py``) assert
-**exact** equality of their outputs, which is what makes the optimized
-solver trustworthy.  If you touch either function, keep the arithmetic
-order mirrored or those tests will catch you.
+sum from scratch.  Both perform *bit-identical arithmetic*: the same link
+and member order, left-to-right weight sums, the same freezing order and
+the same sequence of capacity subtractions.  The differential property
+tests (``tests/netsim/test_differential.py``) assert **exact** equality;
+if you touch either function, keep the arithmetic order mirrored.
 
 :func:`equal_split_rates` is the ablation alternative (DESIGN.md §4): each
 link naively divides its capacity equally among crossing flows and a flow
@@ -36,6 +34,7 @@ across processes regardless of hash randomization.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 try:
@@ -76,14 +75,14 @@ def _setup(
             rates[fid] = _INF
             continue
         wf = float(weights.get(fid, 1.0))
-        if wf <= 0:
+        if not wf > 0:  # NaN too: it would never freeze
             raise ValueError(f"flow {fid!r}: weight must be > 0")
         active[fid] = tuple(links)
         w[fid] = wf
     remaining: dict[Hashable, float] = {}
     for lid, cap in capacities.items():
         cap = float(cap)
-        if cap <= 0:
+        if not cap > 0:
             raise ValueError(f"link {lid!r}: capacity must be > 0")
         remaining[lid] = cap
     members: dict[Hashable, dict[Hashable, None]] = {}
@@ -130,34 +129,35 @@ def maxmin_rates(
     * output is bit-identical to the naive test-side oracle.
     """
     rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
+    return _fill(active, w, remaining, members, rates)
 
-    if len(active) == 1:
-        # Single constrained flow: its rate is its weighted share of the
-        # tightest link.  Arithmetic mirrors the general round exactly
-        # (share = remaining / wsum, then rate = bottleneck * weight).
-        for fid, links in active.items():
-            wf = w[fid]
-            bottleneck = None
-            for lid in members:
-                share = remaining[lid] / wf
-                if bottleneck is None or share < bottleneck:
-                    bottleneck = share
-            rates[fid] = bottleneck * wf
-        return rates
 
+def _fill(active: Mapping, w: Mapping, caps: Mapping, members: Mapping,
+          rates: dict) -> dict:
+    """Progressive filling into ``rates`` over validated inputs it keeps.
+
+    ``active``, ``w``, ``caps`` and ``members`` are :func:`_setup`'s maps or
+    the :class:`~repro.netsim.network.Network`'s tracked ones.  Links are
+    visited in first-appearance order over ``active``, as ``_setup`` builds
+    them.  A flow with a rate is frozen: it is skipped where the oracle pops
+    it, which sums the same weights in the same order.
+    """
+    loaded = dict.fromkeys(chain.from_iterable(active.values()))
     # Per-link weight sums, cached across rounds; only the links touched by
-    # a freezing round are recomputed (over an unchanged membership map a
-    # recomputation would reproduce the cached value bit-for-bit, so the
+    # a freezing round are recomputed (over an unchanged set of live members
+    # a recomputation would reproduce the cached value bit-for-bit, so the
     # cache never diverges from the reference's recompute-everything loop).
+    remaining: dict[Hashable, float] = {}
     wsum: dict[Hashable, float] = {}
-    for lid, fids in members.items():
+    for lid in loaded:
+        remaining[lid] = caps[lid]
         total = 0.0
-        for fid in fids:
+        for fid in members[lid]:
             total += w[fid]
         wsum[lid] = total
-    loaded: dict[Hashable, None] = dict.fromkeys(members)
+    unfrozen = len(active)
 
-    while active:
+    while unfrozen:
         shares: dict[Hashable, float] = {}
         bottleneck = None
         for lid in loaded:
@@ -165,35 +165,29 @@ def maxmin_rates(
             shares[lid] = share
             if bottleneck is None or share < bottleneck:
                 bottleneck = share
-        if bottleneck is None:
-            # All remaining flows cross only unloaded links (cannot happen,
-            # every active flow loads its links) — defensive exit.
-            for fid in active:
-                rates[fid] = _INF
-            break
-
+        # An unfrozen flow keeps its links loaded, so there is a bottleneck.
         threshold = bottleneck + _EPS
         frozen: dict[Hashable, None] = {}
         for lid, share in shares.items():
             if share <= threshold:
                 for fid in members[lid]:
-                    frozen[fid] = None
+                    if fid not in rates:
+                        frozen[fid] = None
         touched: dict[Hashable, None] = {}
         for fid in frozen:
             rate = bottleneck * w[fid]
             rates[fid] = rate
             for lid in active[fid]:
-                members[lid].pop(fid, None)
                 left = remaining[lid] - rate
                 remaining[lid] = left if left > 0.0 else 0.0
                 touched[lid] = None
-            del active[fid]
+        unfrozen -= len(frozen)
         for lid in touched:
-            fids = members[lid]
-            if fids:
-                total = 0.0
-                for fid in fids:
+            total = 0.0
+            for fid in members[lid]:
+                if fid not in rates:
                     total += w[fid]
+            if total > 0.0:  # weights are > 0: the link has live members
                 wsum[lid] = total
             else:
                 del loaded[lid]
@@ -267,7 +261,7 @@ def vectorized_maxmin_rates(
     while alive.any():
         live_links = _np.nonzero(loaded)[0]
         if live_links.size == 0:
-            # Mirror of the scalar solvers' defensive exit.
+            # Mirror of the naive oracle's defensive exit.
             out[alive] = _INF
             break
         shares = rem[live_links] / wsum[live_links]
@@ -319,10 +313,14 @@ def equal_split_rates(
     link_load: dict[Hashable, float] = {}
     for fid, links in flow_links.items():
         wf = float(weights.get(fid, 1.0))
+        if not wf > 0:
+            raise ValueError(f"flow {fid!r}: weight must be > 0")
         w[fid] = wf
         for lid in links:
             if lid not in capacities:
                 raise KeyError(f"flow {fid!r} crosses unknown link {lid!r}")
+            if not capacities[lid] > 0:
+                raise ValueError(f"link {lid!r}: capacity must be > 0")
             link_load[lid] = link_load.get(lid, 0.0) + wf
 
     rates: dict[Hashable, float] = {}

@@ -13,8 +13,10 @@ on every event.  Rate solves triggered by same-instant arrivals are
 additionally *batched*: N transfers starting at one simulation time trigger
 one deferred solve, not N, and a solve is skipped entirely when nothing
 about the flow set changed (e.g. a topology epoch bump whose reroute
-produced identical paths).  The naive rebuild-everything-per-event network
-the seed repo shipped lives on as a test-side oracle
+produced identical paths) or when the flows have the paths and weights of
+the solution the current one replaced (a departure undid an arrival, or a
+new flow took a departed one's place).  The naive rebuild-everything-per-event
+network the seed repo shipped lives on as a test-side oracle
 (``tests/netsim/reference.py``); the differential tests prove this engine
 produces identical completion times (``tests/netsim/test_differential.py``).
 
@@ -36,6 +38,7 @@ from repro.simkit.monitor import TimeWeighted
 from repro.telemetry.hub import TelemetryHub
 from repro.netsim.fairshare import (
     HAVE_NUMPY,
+    _fill,
     equal_split_rates,
     maxmin_rates,
     vectorized_maxmin_rates,
@@ -158,14 +161,18 @@ class Network:
         self._seen_epoch = topology.epoch
         # -- persistent solver inputs ---------------------------------------
         # Maintained in lockstep with self._flows so a solve never rebuilds
-        # them.
+        # them; ``_members`` is each link's flows in ``_flow_links`` order.
         self._flow_links: dict[int, tuple] = {}
         self._weights: dict[int, float] = {}
         self._caps: dict[tuple, float] = {}
-        self._link_refs: dict[tuple, int] = {}
+        self._members: dict[tuple, dict[int, None]] = {}
         #: Solve needed: the flow set / routes / weights changed since the
         #: last solve.  A clean rebalance reuses the previous rates.
         self._dirty = False
+        #: ``(key, rates)`` of the current solution and of the one it
+        #: replaced: the tracked flows' paths and weights in order, and their
+        #: rates in that order.  A reroute forgets both.
+        self._solution = self._replaced = None
         #: A same-instant batched solve is already scheduled.
         self._solve_pending = False
         # -- statistics (the time-weighted series stays a monitor
@@ -186,7 +193,7 @@ class Network:
             "net.solves_total", "Fair-share solves actually executed")
         self.solves_skipped = reg.counter(
             "net.solves_skipped_total",
-            "Rebalances that reused the previous rates (clean flow set)")
+            "Rebalances that reused rates (unchanged or repeated flow set)")
         self.vector_solves = reg.counter(
             "net.vector_solves_total",
             "Fair-share solves executed by the vectorised max-min solver")
@@ -215,8 +222,10 @@ class Network:
         exists now or after a mid-transfer failure, and the initiating
         process sees that exception when it ``yield``s the event.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:  # NaN too
             raise ValueError("transfer size must be >= 0")
+        if not weight > 0:
+            raise ValueError("transfer weight must be > 0")
         done = self.sim.event(name=name or f"xfer:{src}->{dst}")
         self._next_fid += 1
         flow = Flow(
@@ -311,33 +320,34 @@ class Network:
         self._last_progress_t = now
 
     def _track_flow(self, flow: Flow) -> None:
-        """Fold one arriving flow into the persistent solver inputs."""
+        """Fold one arriving flow into the persistent solver inputs (its
+        weight and link capacities were validated when they were made)."""
+        fid = flow.fid
         keys = []
-        refs = self._link_refs
-        caps = self._caps
-        efficiency = self.efficiency
+        members = self._members
         for link in flow.links:
             key = link.key
             keys.append(key)
-            count = refs.get(key, 0)
-            if count == 0:
-                caps[key] = link.capacity * efficiency
-            refs[key] = count + 1
-        self._flow_links[flow.fid] = tuple(keys)
-        self._weights[flow.fid] = flow.weight
+            group = members.get(key)
+            if group is None:
+                members[key] = {fid: None}
+                self._caps[key] = float(link.capacity) * self.efficiency
+            else:
+                group[fid] = None
+        self._flow_links[fid] = tuple(keys)
+        self._weights[fid] = flow.weight
         self._dirty = True
 
     def _untrack_flow(self, flow: Flow) -> None:
         """Remove one departing flow from the persistent solver inputs."""
         keys = self._flow_links.pop(flow.fid, ())
         del self._weights[flow.fid]
-        refs = self._link_refs
+        members = self._members
         for key in keys:
-            count = refs[key] - 1
-            if count:
-                refs[key] = count
-            else:
-                del refs[key]
+            group = members[key]
+            del group[flow.fid]
+            if not group:
+                del members[key]
                 del self._caps[key]
         self._dirty = True
 
@@ -351,7 +361,7 @@ class Network:
         """
         previous = (self._flow_links, self._caps, self._weights)
         dirty = self._dirty
-        self._flow_links, self._link_refs, self._caps, self._weights = (
+        self._flow_links, self._members, self._caps, self._weights = (
             {}, {}, {}, {})
         for flow in self._flows.values():
             self._track_flow(flow)
@@ -365,6 +375,7 @@ class Network:
         # topology event the scheduler runs first.
         self._complete_finished()
         self._seen_epoch = self.topology.epoch
+        self._solution = self._replaced = None  # paths may change
         dead: list[Flow] = []
         for flow in self._flows.values():
             try:
@@ -410,26 +421,42 @@ class Network:
             self._timer_gen += 1  # cancel any outstanding timer
             return
         self.rebalances.add(1)
-        if self._dirty:
-            flow_links = self._flow_links
-            threshold = self._vector_threshold
-            if threshold is not None and len(flow_links) >= threshold:
-                rates = vectorized_maxmin_rates(
-                    flow_links, self._caps, self._weights)
-                self.vector_solves.add(1)
-            else:
-                rates = self._share_fn(flow_links, self._caps, self._weights)
-            self._dirty = False
-            self.solves.add(1)
-            for flow in self._flows.values():
-                flow.rate = rates[flow.fid]
-        else:
+        if not self._dirty:
             # Nothing about the flow set changed: the previous solution is
             # still the fair-share solution.  Only the timer needs care.
             self.solves_skipped.add(1)
+            rates = [flow.rate for flow in self._flows.values()]
+        else:
+            self._dirty = False
+            flow_links = self._flow_links
+            key = (tuple(flow_links.values()), tuple(self._weights.values()))
+            if self._replaced is not None and self._replaced[0] == key:
+                # The flows have the paths and weights, in order, of the
+                # solution the current one replaced.  Solvers are pure in
+                # that input and the capacities, blind to flow ids, and only
+                # a reroute (which forgets both solutions) moves capacities.
+                self._solution, self._replaced = self._replaced, self._solution
+                rates = self._solution[1]
+                self.solves_skipped.add(1)
+            else:
+                threshold = self._vector_threshold
+                if threshold is not None and len(flow_links) >= threshold:
+                    solved = vectorized_maxmin_rates(
+                        flow_links, self._caps, self._weights)
+                    self.vector_solves.add(1)
+                elif self._share_fn is maxmin_rates:
+                    solved = _fill(flow_links, self._weights, self._caps,
+                                   self._members, {})
+                else:
+                    solved = self._share_fn(flow_links, self._caps,
+                                            self._weights)
+                rates = [solved[fid] for fid in flow_links]
+                self._replaced, self._solution = self._solution, (key, rates)
+                self.solves.add(1)
         horizon = math.inf
-        for flow in self._flows.values():
-            rate = flow.rate
+        # The tracked maps hold the flows in ``_flows`` order.
+        for flow, rate in zip(self._flows.values(), rates):
+            flow.rate = rate
             if rate > 0:
                 eta = flow.remaining / rate
                 if eta < horizon:

@@ -47,9 +47,9 @@ class Link:
     tags: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        if not self.capacity > 0:  # NaN too
             raise ValueError(f"link {self.a}<->{self.b}: capacity must be > 0")
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ValueError("link latency must be >= 0")
         if self.a == self.b:
             raise ValueError("self-loop links are not allowed")

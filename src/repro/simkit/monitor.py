@@ -203,7 +203,9 @@ class TimeWeighted:
     """A piecewise-constant signal with time-weighted statistics.
 
     Typical use: track a queue length — call :meth:`set` whenever the value
-    changes; :meth:`mean` then gives the *time-averaged* queue length.
+    changes; :meth:`mean` then gives the *time-averaged* queue length.  It
+    keeps no history, so its memory does not grow with simulated time; a
+    plot samples it into a :class:`TimeSeries`.
     """
 
     def __init__(self, t0: float = 0.0, value: float = 0.0, name: str = "level"):
@@ -214,8 +216,6 @@ class TimeWeighted:
         self._elapsed = 0.0
         self._max = float(value)
         self._min = float(value)
-        self.history = TimeSeries(name=f"{name}.history")
-        self.history.record(t0, value)
 
     @property
     def value(self) -> float:
@@ -233,7 +233,6 @@ class TimeWeighted:
         self._value = float(value)
         self._max = max(self._max, self._value)
         self._min = min(self._min, self._value)
-        self.history.record(t, value)
 
     def add(self, t: float, delta: float) -> None:
         """Shift the signal by ``delta`` at time ``t``."""

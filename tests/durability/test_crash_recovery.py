@@ -62,6 +62,18 @@ class TestCrashRecoverDeterministic:
         assert replayed > 0
         assert store.state_bytes() == before
 
+    def test_crash_right_after_load_keeps_the_catalogue(self, tmp_path):
+        store = _fresh_store()
+        _populate(store)
+        path = tmp_path / "md.jsonl"
+        store.save(path)
+        loaded = DurableMetadataStore.load(path)
+        state = loaded.state_bytes()
+        assert len(loaded) == 3
+        loaded.crash()
+        loaded.recover()
+        assert loaded.state_bytes() == state
+
     def test_torn_final_record_recovers_prefix_state(self):
         store = _fresh_store()
         _populate(store)

@@ -2,7 +2,9 @@
 
 The production engine — :class:`repro.netsim.Network` and the solvers in
 :mod:`repro.netsim.fairshare` — is optimised: persistent solver inputs,
-batched same-instant solves, skipped no-op solves, cached weight sums.
+batched same-instant solves, skipped no-op solves, rates reused when the
+flows repeat the paths and weights of the replaced solution, cached weight
+sums.
 This module keeps the seed repo's naive versions so the optimisations can
 be held to *exact* equality against something whose correctness is
 obvious:
@@ -122,7 +124,8 @@ class ReferenceNetwork(Network):
     completions and the completion timer run the production code.  It
     solves at once on every arrival (no same-instant batching), rebuilds
     the solver inputs from the live flow set before every solve, never
-    skips a solve and always uses the naive scalar solvers.
+    skips a solve (not even to reuse the replaced solution's rates) and
+    always uses the naive scalar solvers.
     """
 
     def __init__(self, sim, topology, sharing: str = "maxmin",
@@ -158,3 +161,4 @@ class ReferenceNetwork(Network):
         self._caps = capacities
         self._weights = {f.fid: f.weight for f in flows}
         self._dirty = True
+        self._solution = self._replaced = None  # nothing to reuse

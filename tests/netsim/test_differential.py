@@ -13,7 +13,9 @@ these tests in ``tests/netsim/reference.py``, not in ``src/``:
   :meth:`Topology._find_route` (the uncached pathfinding it memoizes)
   across random failure/repair sequences;
 * the full :class:`Network` engine (persistent solver inputs, batched
-  same-instant solves, skip-when-clean, the vectorised solver) against
+  same-instant solves, skip-when-clean, rates reused when the flows repeat
+  the paths and weights of the replaced solution, the vectorised solver)
+  against
   :class:`~tests.netsim.reference.ReferenceNetwork` — the seed repo's
   rebuild-per-event path — on random arrival/departure/failure workloads
   under both sharing models, comparing completion timestamps and delivered
@@ -265,12 +267,18 @@ class TestEngineDifferential:
         assert fast == naive
 
     def test_reference_engine_counts_every_solve(self):
-        sim = Simulator(seed=1)
-        net = ReferenceNetwork(sim, _mesh())
-        net.transfer("n0", "n2", 100.0)
-        net.transfer("n0", "n2", 100.0)
-        sim.run()
+        # Two long flows, then a short one that leaves first (its departure
+        # restores the flow set solved before it), then another like it:
+        # the production engine reuses rates on that arrival and departure.
+        ops = [(0.0, "xfer", ("n0", "n2", 1000.0, 1.0)),
+               (0.0, "xfer", ("n1", "n3", 1000.0, 2.0)),
+               (1.0, "xfer", ("n0", "n1", 10.0, 1.0)),
+               (1.0, "xfer", ("n0", "n1", 10.0, 1.0))]
+        fast = Network(Simulator(seed=1), _mesh())
+        net = ReferenceNetwork(Simulator(seed=1), _mesh())
+        assert _run_workload(fast, ops) == _run_workload(net, ops)
+        assert int(fast.solves_skipped.value) == 3
         # Reference solves on every arrival and every completion pass;
-        # no batching, no skipping.
+        # no batching, no skipping, no reuse.
         assert int(net.solves.value) == int(net.rebalances.value)
         assert int(net.solves_skipped.value) == 0

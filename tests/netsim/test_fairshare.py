@@ -47,6 +47,21 @@ class TestMaxMinExamples:
             maxmin_rates({"f": ["L"]}, {"L": 1.0}, weights={"f": 0.0})
 
 
+@pytest.mark.parametrize("solver", [maxmin_rates, equal_split_rates])
+class TestNanRejected:
+    """NaN fails every comparison, so a ``<= 0`` guard let it through: a
+    NaN share never freezes a flow and progressive filling spun forever
+    once two flows shared the link."""
+
+    def test_nan_weight_raises(self, solver):
+        with pytest.raises(ValueError):
+            solver({"f": ["L"]}, {"L": 1.0}, {"f": float("nan")})
+
+    def test_nan_capacity_raises(self, solver):
+        with pytest.raises(ValueError):
+            solver({"f": ["L"]}, {"L": float("nan")})
+
+
 class TestEqualSplitExamples:
     def test_equal_split_wastes_capacity(self):
         flows = {"a": ["L1"], "b": ["L1", "L2"], "c": ["L2"]}

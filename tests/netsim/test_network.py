@@ -69,6 +69,17 @@ class TestSingleFlow:
         sim.run()
         assert ev.value.duration / 86400 == pytest.approx(9.259 / 0.62, rel=1e-2)
 
+    @pytest.mark.parametrize("nbytes, weight", [
+        (float("nan"), 1.0), (100.0, float("nan")), (100.0, 0.0)])
+    def test_bad_size_or_weight_raises_at_the_call(self, sim, nbytes, weight):
+        # A NaN size used to "complete" and turn bytes_delivered into NaN;
+        # a bad weight only failed later, inside the scheduled solve.
+        net = Network(sim, _line())
+        with pytest.raises(ValueError):
+            net.transfer("a", "c", nbytes, weight=weight)
+        sim.run()
+        assert net.flow_count == 0 and net.bytes_delivered.value == 0.0
+
     def test_bad_efficiency_rejected(self, sim):
         with pytest.raises(ValueError):
             Network(sim, _line(), efficiency=0.0)
@@ -293,3 +304,69 @@ class TestIncrementalEngine:
         # changed the path so nothing was skipped.
         assert int(net.solves_skipped.value) == 0
         assert int(net.solves.value) >= 2
+
+
+def _squeeze(sim, topo, during=None):
+    """Two background flows at 50 B/s, then from t=1 a short flow of weight
+    3 that squeezes the a->c one to 25 B/s on a-b (the b->c one takes the
+    freed 75 B/s) until it leaves (15 B at 75 B/s: t=1.2).  ``during(net)``
+    runs at t=1.1, while it is in flight.  Returns the network and the
+    background rates (fid -> rate) before and after the visit."""
+    net = Network(sim, topo)
+    net.transfer("a", "c", 1e6)
+    net.transfer("b", "c", 1e6)
+    sim.run(until=1.0)
+    before = {fid: net.current_rate(fid) for fid in net._flows}
+    short = net.transfer("a", "b", 15.0, weight=3.0)
+    sim.run(until=1.1)
+    assert [net.current_rate(fid) for fid in before] == [25.0, 75.0]
+    if during is not None:
+        during(net)
+    sim.run(until=2.0)
+    assert short.value.finished == pytest.approx(1.2)
+    return net, before, {fid: net.current_rate(fid) for fid in net._flows}
+
+
+class TestRestoredFlowSet:
+    """When the flows have the paths and weights, in order, of the solution
+    the current one replaced (a departure undid an arrival, or a new flow
+    took a departed one's place), the engine reuses its rates instead of
+    solving."""
+
+    def test_short_visit_restores_rates_without_a_solve(self, sim):
+        net, before, after = _squeeze(sim, _line(capacity=100.0))
+        assert after == before  # bit for bit, not approx
+        # Background arrival solve + the visitor's arrival solve; its
+        # departure reused the first solution.
+        assert int(net.solves.value) == 2
+        assert int(net.solves_skipped.value) == 1
+        assert int(net.rebalances.value) == 3
+
+    @pytest.mark.parametrize("weight, squeezed, finished, solves, skipped", [
+        # The same problem again: no solve on arrival or departure.
+        (3.0, [25.0, 75.0], 2.2, 2, 3),
+        # Another weight is another problem.
+        (1.0, [50.0, 50.0], 2.3, 3, 2),
+    ])
+    def test_next_visit_on_the_same_path(self, sim, weight, squeezed,
+                                         finished, solves, skipped):
+        net, before, _after = _squeeze(sim, _line(capacity=100.0))
+        visit = net.transfer("a", "b", 15.0, weight=weight)
+        sim.run(until=2.1)
+        assert [net.current_rate(fid) for fid in before] == squeezed
+        sim.run(until=3.0)
+        assert visit.value.finished == pytest.approx(finished)
+        assert int(net.solves.value) == solves
+        assert int(net.solves_skipped.value) == skipped
+
+    def test_link_failure_during_the_visit_forces_a_solve(self, sim):
+        topo = _line(capacity=100.0)
+        topo.add_link("b", "d", capacity=100.0, latency=0.0)  # spare
+        net, before, after = _squeeze(
+            sim, topo, during=lambda net: net.fail_link("b", "d"))
+        assert after == before
+        # The reroute kept every path (its pass is the one skip), but it
+        # forgot both solutions, so the departure solved again.
+        assert int(net.solves.value) == 3
+        assert int(net.solves_skipped.value) == 1
+        assert int(net.rebalances.value) == 4

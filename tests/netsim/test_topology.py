@@ -25,6 +25,11 @@ class TestLink:
         with pytest.raises(ValueError):
             Link("a", "a", capacity=1.0)
 
+    @pytest.mark.parametrize("field", ["capacity", "latency"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            Link("a", "b", **{"capacity": 1.0, field: float("nan")})
+
 
 class TestTopology:
     def test_duplicate_link_rejected(self):

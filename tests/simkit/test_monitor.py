@@ -123,10 +123,3 @@ class TestTimeWeighted:
         tw.set(10.0, 1.0)
         with pytest.raises(ValueError):
             tw.mean(until=5.0)
-
-    def test_history_recorded(self):
-        tw = TimeWeighted(t0=0.0, value=1.0)
-        tw.set(3.0, 2.0)
-        t, v = tw.history.as_arrays()
-        assert list(t) == [0.0, 3.0]
-        assert list(v) == [1.0, 2.0]
