@@ -23,15 +23,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "PoolExhaustedError", "RequestRejectedError", "WireClosedError",
         "WireError", "WireProtocolError"),
     "repro.adal.wire.protocol": (
-        "MAX_FRAME_BYTES", "MAX_QUERY_DEPTH", "OPS", "encode_frame",
-        "error_envelope", "error_from", "error_kind", "limit_from_wire",
-        "query_from_wire", "query_to_wire", "raise_for_error", "read_frame",
-        "write_frame"),
+        "FrameDecoder", "MAX_FRAME_BYTES", "MAX_QUERY_DEPTH", "OPS",
+        "encode_frame", "error_envelope", "error_from", "error_kind",
+        "limit_from_wire", "query_from_wire", "query_to_wire"),
     "repro.adal.wire.server": ("WireRequest", "WireServer"),
 })
 
 __all__ = [
     "BATCHABLE_OPS",
+    "FrameDecoder",
     "MAX_FRAME_BYTES",
     "MAX_QUERY_DEPTH",
     "OPS",
@@ -51,8 +51,5 @@ __all__ = [
     "limit_from_wire",
     "query_from_wire",
     "query_to_wire",
-    "raise_for_error",
-    "read_frame",
     "run_wire_bench",
-    "write_frame",
 ]

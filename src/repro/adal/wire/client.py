@@ -10,19 +10,22 @@ frames.  When every connection is saturated, callers wait up to
 :class:`~repro.adal.errors.BackendUnavailableError`, so retry policies
 treat a momentarily-full pool as the transient fault it is.
 
-**Pipelining.**  Requests carry client-assigned ids; each connection
-keeps an id-keyed table of pending futures and a reader task that
-resolves them as responses arrive, in whatever order the server finishes
-them.  Nothing waits for a round trip before the next frame goes out.
+**Pipelining.**  Requests carry client-assigned ids; each connection is
+an :class:`asyncio.Protocol` over a sans-IO
+:class:`~repro.adal.wire.protocol.FrameDecoder` with an id-keyed table of
+pending futures, which ``data_received`` resolves as responses arrive,
+in whatever order the server finishes them.  Nothing waits for a round
+trip before the next frame goes out; the ``max_in_flight`` bound is the
+connection's flow control.
 
 **Automatic batching.**  Batchable calls are appended to a pending list
 and a flusher task coalesces them into ``batch`` frames (one framed
 envelope carrying N ops, served by one admission pass server-side).
-There is no timer window: while the flusher awaits pool capacity or a
-socket write, concurrent callers pile more work onto the list, so batch
-size grows naturally with concurrency and a lone call still goes out
-immediately.  Entries are grouped by (tenant, priority, budget, session)
-so one envelope's admission metadata is exact for every op inside it.
+There is no timer window: while the flusher awaits pool capacity,
+concurrent callers pile more work onto the list, so batch size grows
+naturally with concurrency and a lone call still goes out immediately.
+Entries are grouped by (tenant, priority, budget, session) so one
+envelope's admission metadata is exact for every op inside it.
 
 The client is wall-clock, single-event-loop code: create and use it from
 one running loop.  It never touches the simulated facility's clock.
@@ -36,10 +39,11 @@ from typing import Any, Optional
 
 from repro.adal.wire.errors import PoolExhaustedError, WireClosedError
 from repro.adal.wire.protocol import (
+    FrameDecoder,
+    WireProtocolError,
     encode_frame,
     error_from,
     query_to_wire,
-    read_frame,
 )
 from repro.metadata.query import Query
 from repro.telemetry.hub import TelemetryHub
@@ -63,53 +67,47 @@ class _PendingCall:
         self.key = key
 
 
-class _WireConnection:
-    """One pooled TCP connection: id-keyed pending futures + reader task."""
+class _WireConnection(asyncio.Protocol):
+    """One pooled TCP connection: id-keyed pending futures, resolved as
+    response frames arrive."""
 
-    def __init__(self, client: "WireClient", index: int,
-                 reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+    def __init__(self, client: "WireClient"):
         self._client = client
-        self.index = index
-        self._reader = reader
-        self._writer = writer
+        self.transport: Optional[asyncio.Transport] = None
+        self._decoder = FrameDecoder(client._m_bytes_read.add)
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
+        self._lost = asyncio.get_running_loop().create_future()
         self.closed = False
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop(), name=f"wire-client-conn{index}")
 
     @property
     def in_flight(self) -> int:
         """Outstanding frames awaiting a response on this connection."""
         return len(self._pending)
 
-    async def send(self, message: dict) -> asyncio.Future:
-        """Frame and write one request; returns the response future."""
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def send(self, message: dict,
+             future: Optional[asyncio.Future] = None) -> asyncio.Future:
+        """Frame and write one request; returns the future its response
+        resolves (``future`` when given)."""
         if self.closed:
             raise WireClosedError("connection is closed")
         self._next_id += 1
-        message_id = self._next_id
-        message["id"] = message_id
-        future = asyncio.get_running_loop().create_future()
-        self._pending[message_id] = future
+        message["id"] = self._next_id
         frame = encode_frame(message)
-        try:
-            self._writer.write(frame)
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(message_id, None)
-            self._fail_all(WireClosedError(f"connection lost: {exc}"))
-            raise WireClosedError(f"connection lost: {exc}") from None
+        if future is None:
+            future = asyncio.get_running_loop().create_future()
+        self._pending[self._next_id] = future
+        self.transport.write(frame)
         self._client._m_bytes_written.add(len(frame))
         return future
 
-    async def _read_loop(self) -> None:
+    def data_received(self, data: bytes) -> None:
+        self._decoder.feed(data)
         try:
-            while True:
-                message = await read_frame(
-                    self._reader, on_bytes=self._client._m_bytes_read.add)
-                if message is None:
-                    break
+            for message in iter(self._decoder.next_message, None):
                 future = self._pending.pop(message.get("id"), None)
                 if future is None or future.done():
                     continue  # stale id (failed send already resolved it)
@@ -121,15 +119,23 @@ class _WireConnection:
                         str(message.get("error", "")),
                         message.get("reason")))
                 self._client._freed.set()
-        except (ConnectionError, OSError) as exc:
-            self._fail_all(WireClosedError(f"connection lost: {exc}"))
         except Exception as exc:
             # Protocol violation: poison everything pending with the cause.
             self._fail_all(exc)
-        finally:
-            self.closed = True
-            self._fail_all(WireClosedError("connection closed by server"))
-            self._client._freed.set()
+            self.transport.abort()
+
+    def eof_received(self) -> None:
+        self.closed = True
+        try:
+            self._decoder.eof()
+        except WireProtocolError as exc:
+            self._fail_all(exc)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail_all(WireClosedError(
+            f"connection lost: {exc}" if exc else "connection closed by server"))
+        self._client._freed.set()
+        self._lost.set_result(None)
 
     def _fail_all(self, error: Exception) -> None:
         self.closed = True
@@ -140,18 +146,11 @@ class _WireConnection:
 
     async def close(self) -> None:
         """Close the socket and fail anything still pending."""
-        self.closed = True
-        self._writer.close()
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass  # reader already failed all pending futures on the way out
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass  # peer already gone; close still completed
+        self.transport.close()
+        if self.transport.get_write_buffer_size():
+            self.transport.abort()  # the server is not reading: drop it
         self._fail_all(WireClosedError("client closed"))
+        await self._lost
 
 
 class WireClient:
@@ -218,7 +217,6 @@ class WireClient:
             telemetry = TelemetryHub(clock=self._clock)
         self._hub = telemetry
         self._conns: list[_WireConnection] = []
-        self._conn_seq = 0
         #: Slots reserved by acquirers currently awaiting a connect.
         self._opening = 0
         self._pending: list[_PendingCall] = []
@@ -278,9 +276,7 @@ class WireClient:
             except asyncio.CancelledError:
                 pass  # cancellation is the expected shutdown path
         pending, self._pending = self._pending, []
-        for call in pending:
-            if not call.future.done():
-                call.future.set_exception(WireClosedError("client closed"))
+        self._fail(pending, WireClosedError("client closed"))
         for conn in self._conns:
             await conn.close()
         self._conns = []
@@ -319,14 +315,13 @@ class WireClient:
                 # Reserve the slot BEFORE awaiting the connect — concurrent
                 # acquirers must see it taken or the pool bound is porous.
                 self._opening += 1
+                loop = asyncio.get_running_loop()
                 try:
-                    reader, writer = await asyncio.open_connection(
-                        self.host, self.port)
+                    _, conn = await loop.create_connection(
+                        lambda: _WireConnection(self), self.host, self.port)
                 finally:
                     self._opening -= 1
                     self._freed.set()  # wake waiters to re-examine the pool
-                self._conn_seq += 1
-                conn = _WireConnection(self, self._conn_seq, reader, writer)
                 self._conns.append(conn)
                 self._m_pool_opens.add(1)
                 return conn
@@ -394,8 +389,7 @@ class WireClient:
                 self._kick.set()
             else:
                 conn = await self._acquire()
-                future = await conn.send(
-                    self._stamp({"op": op, "args": args}, key))
+                future = conn.send(self._stamp({"op": op, "args": args}, key))
             result = await future
         finally:
             # Every submission completes exactly once — with a result or an
@@ -426,21 +420,14 @@ class WireClient:
         self._pending = rest
         try:
             conn = await self._acquire()
-        except Exception as exc:
-            for call in group:
-                if not call.future.done():
-                    call.future.set_exception(exc)
-            return
-        try:
             if len(group) == 1:
                 call = group[0]
-                inner = await conn.send(
-                    self._stamp({"op": call.op, "args": call.args}, key))
-                self._chain(inner, call.future)
+                conn.send(self._stamp({"op": call.op, "args": call.args}, key),
+                          call.future)
             else:
                 self._m_batches.add(1)
                 self._h_batch_size.observe(float(len(group)))
-                inner = await conn.send(self._stamp(
+                inner = conn.send(self._stamp(
                     {"op": "batch",
                      "args": {"ops": [{"op": c.op, "args": c.args}
                                       for c in group]}}, key))
@@ -448,22 +435,13 @@ class WireClient:
                     lambda fut, calls=tuple(group):
                     self._distribute(fut, calls))
         except Exception as exc:
-            for call in group:
-                if not call.future.done():
-                    call.future.set_exception(exc)
+            self._fail(group, exc)
 
     @staticmethod
-    def _chain(inner: asyncio.Future, outer: asyncio.Future) -> None:
-        """Propagate a frame future's outcome to a caller future."""
-        def _copy(fut: asyncio.Future) -> None:
-            if outer.done():
-                return
-            exc = fut.exception()
-            if exc is not None:
-                outer.set_exception(exc)
-            else:
-                outer.set_result(fut.result())
-        inner.add_done_callback(_copy)
+    def _fail(calls, error: Exception) -> None:
+        for call in calls:
+            if not call.future.done():
+                call.future.set_exception(error)
 
     def _distribute(self, batch_future: asyncio.Future,
                     calls: tuple[_PendingCall, ...]) -> None:
@@ -472,17 +450,12 @@ class WireClient:
                if not batch_future.cancelled() else
                WireClosedError("batch cancelled"))
         if exc is not None:
-            for call in calls:
-                if not call.future.done():
-                    call.future.set_exception(exc)
+            self._fail(calls, exc)
             return
         results = batch_future.result()
         if not isinstance(results, list) or len(results) != len(calls):
-            error = WireClosedError(
-                "malformed batch response (op/result count mismatch)")
-            for call in calls:
-                if not call.future.done():
-                    call.future.set_exception(error)
+            self._fail(calls, WireClosedError(
+                "malformed batch response (op/result count mismatch)"))
             return
         for call, sub in zip(calls, results):
             if call.future.done():

@@ -33,7 +33,6 @@ combinators.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Any, Callable, Optional
@@ -102,52 +101,70 @@ def encode_frame(message: dict) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-    on_bytes: Optional[Callable[[int], None]] = None,
-) -> Optional[dict]:
-    """Read one frame; ``None`` at a clean EOF (peer closed between frames).
+class FrameDecoder:
+    """Sans-IO frame decoding: :meth:`feed` bytes as they arrive, take
+    messages with :meth:`next_message` until it returns ``None``, and call
+    :meth:`eof` when the peer closes.
 
-    ``on_bytes`` (when given) receives the total frame size — header plus
-    payload — of each successfully read frame (byte accounting).
+    The caller decides when to take the next message, so a paused
+    connection leaves its frames buffered.  A length over
+    :data:`MAX_FRAME_BYTES` raises as soon as its header is buffered: a
+    drained decoder holds less than one bounded frame.  ``on_bytes``
+    (when given) receives each decoded frame's size, header included.
     """
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close on a frame boundary
-        raise WireProtocolError("connection closed mid-header") from None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte bound")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise WireProtocolError("connection closed mid-frame") from None
-    if on_bytes is not None:
-        on_bytes(_LENGTH.size + length)
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the JSON decoder will follow.
-        raise WireProtocolError(f"undecodable frame payload: {exc}") from None
-    if not isinstance(message, dict):
-        raise WireProtocolError("frame payload must be a JSON object")
-    return message
 
+    __slots__ = ("_buffer", "_pos", "_on_bytes")
 
-async def write_frame(writer: asyncio.StreamWriter, message: dict) -> int:
-    """Frame and send one message, honouring transport flow control.
+    def __init__(self, on_bytes: Optional[Callable[[int], None]] = None):
+        self._buffer = bytearray()
+        self._pos = 0
+        self._on_bytes = on_bytes
 
-    ``drain()`` blocks while the transport's write buffer is above its
-    high-water mark — the per-connection bounded write queue that keeps a
-    slow reader from ballooning server memory.  Returns bytes written.
-    """
-    frame = encode_frame(message)
-    writer.write(frame)
-    await writer.drain()
-    return len(frame)
+    @property
+    def buffered(self) -> int:
+        """Bytes fed but not yet taken as messages."""
+        return len(self._buffer) - self._pos
+
+    def feed(self, data: bytes) -> None:
+        """Buffer bytes received from the peer."""
+        if self._pos:
+            del self._buffer[:self._pos]
+            self._pos = 0
+        self._buffer += data
+
+    def next_message(self) -> Optional[dict]:
+        """The next whole message, or ``None`` until one is buffered."""
+        buffer = self._buffer
+        start = self._pos + _LENGTH.size
+        if len(buffer) < start:
+            return None
+        (length,) = _LENGTH.unpack_from(buffer, self._pos)
+        if length > MAX_FRAME_BYTES:
+            raise WireProtocolError(
+                f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte bound")
+        end = start + length
+        if len(buffer) < end:
+            return None
+        self._pos = end
+        if self._on_bytes is not None:
+            self._on_bytes(_LENGTH.size + length)
+        try:
+            message = json.loads(buffer[start:end].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the JSON decoder will follow.
+            raise WireProtocolError(f"undecodable frame payload: {exc}") from None
+        if not isinstance(message, dict):
+            raise WireProtocolError("frame payload must be a JSON object")
+        return message
+
+    def eof(self) -> None:
+        """The peer closed (after :meth:`next_message` returned ``None``):
+        fine on a frame boundary, else a protocol error."""
+        if not self.buffered:
+            return
+        if self.buffered < _LENGTH.size:
+            raise WireProtocolError("connection closed mid-header")
+        raise WireProtocolError("connection closed mid-frame")
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +236,6 @@ def error_from(kind: str, message: str,
         return error
     cls = _KIND_TO_ERROR.get(kind, AdalError)
     return cls(message)
-
-
-def raise_for_error(kind: str, message: str, reason: Optional[str] = None):
-    """Re-raise a wire error envelope as the matching local exception."""
-    raise error_from(kind, message, reason)
 
 
 def error_envelope(message_id: Any, exc: BaseException) -> dict:

@@ -21,13 +21,13 @@ store, the WAL, the ADAL backends — is plain synchronous state shared
 with the simulated facility; only this module (and its client) touches
 wall-clock time and real concurrency.
 
-Backpressure is end to end:
-
-* connection readers pause (stop reading frames) while the admission
-  queue is above its high-water mark, resuming below the low-water mark —
-  TCP then pushes back on the clients;
-* responses are written through ``drain()``, so a slow reader bounds the
-  per-connection write buffer instead of ballooning server memory.
+Each connection is an :class:`asyncio.Protocol` over a sans-IO
+:class:`~repro.adal.wire.protocol.FrameDecoder`, and every reply is one
+``transport.write``: service workers never wait on a socket.
+Backpressure is per connection, through reading: it pauses while the
+admission queue is above its high-water mark (until the low-water mark)
+and while its transport's write buffer is full, so a slow reader holds
+at most the replies to requests it already sent.
 
 Every decoded request reaches exactly one terminal response (result,
 typed error, rejection, or deadline failure) — :meth:`accounting`
@@ -48,11 +48,11 @@ from repro.adal.errors import BackendUnavailableError
 from repro.adal.wire.errors import WireProtocolError
 from repro.adal.wire.protocol import (
     OPS,
+    FrameDecoder,
+    encode_frame,
     error_envelope,
     limit_from_wire,
     query_from_wire,
-    read_frame,
-    write_frame,
 )
 from repro.frontdoor.admission import REJECT_REASONS, AdmissionCore
 from repro.frontdoor.request import (
@@ -64,8 +64,8 @@ from repro.frontdoor.request import (
 from repro.telemetry.events import INFO, WARNING
 from repro.telemetry.hub import TelemetryHub
 
-#: Per-tenant admission queue bound; readers pause above the high-water
-#: share of the total capacity and resume at the low-water share.
+#: Per-tenant admission queue bound; connections stop reading at the
+#: high-water share of the total capacity and resume at the low-water share.
 QUEUE_CAPACITY, HIGH_WATER, LOW_WATER = 1024, 0.75, 0.25
 #: The shed controller's sojourn target and escalation interval, and the
 #: brownout delay target (seconds), handed to the admission core.
@@ -98,32 +98,103 @@ def _default_tenants() -> tuple[TenantSpec, ...]:
     return (TenantSpec("public", weight=1.0, rate_limit=None),)
 
 
-@dataclass
-class _ConnState:
-    """Per-connection server state."""
+def _tags(args: dict) -> list:
+    """A request's ``tags``: absent or a list (not a string's letters)."""
+    if not isinstance(tags := args.get("tags") or [], list):
+        raise WireProtocolError("tags must be a list")
+    return tags
 
-    writer: asyncio.StreamWriter
-    index: int
-    #: Authenticated principal name (None until an ``auth`` op succeeds).
-    principal: Optional[str] = None
-    #: Tenant the connection's requests default to.
-    tenant: Optional[str] = None
-    closed: bool = False
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in through the decoder, replies out
+    through ``transport.write``.  Reading pauses on admission backpressure
+    (``stalled``) or a full write buffer (``blocked``), and buffered frames
+    wait for the resume.  At the peer's EOF the connection dispatches what
+    it buffered, then closes; later replies count as send failures."""
+
+    def __init__(self, server: "WireServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = FrameDecoder(server._m_bytes_read.add)
+        self.lost = asyncio.get_running_loop().create_future()
+        #: Authenticated principal name (None until an ``auth`` op succeeds).
+        self.principal: Optional[str] = None
+        #: Tenant the connection's requests default to.
+        self.tenant: Optional[str] = None
+        self.closed = False
+        self.stalled = False
+        self.blocked = False
+        self.eof = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._conns.add(self)
+        self.server._m_connections.add(1)
+
+    def data_received(self, data: bytes) -> None:
+        self.decoder.feed(data)
+        self.pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.pump()
+        return True  # pump() closes once the buffered frames are dispatched
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed = True
+        self.server._conns.discard(self)
+        self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.blocked = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.blocked = False
+        self.resume()
+
+    def resume(self) -> None:
+        """Read and dispatch again unless still paused for another cause."""
+        if not (self.stalled or self.blocked or self.closed):
+            self.transport.resume_reading()
+            self.pump()
+
+    def pump(self) -> None:
+        """Dispatch buffered frames until none is whole or reading pauses."""
+        server = self.server
+        try:
+            while server._running and not (
+                    self.stalled or self.blocked or self.closed):
+                if server.core.queue.depth >= server.high_water:
+                    server._stall(self)
+                    return
+                message = self.decoder.next_message()
+                if message is None:
+                    if self.eof:
+                        self.decoder.eof()
+                        self.close()
+                    return
+                server._dispatch(self, message)
+        except WireProtocolError:
+            self.close()  # protocol violation: drop the connection
+
+    def close(self) -> None:
+        """Close once the replies already written are flushed."""
+        self.closed = True
+        self.transport.close()
 
 
 @dataclass
 class WireRequest:
     """One admitted wire operation (shape the admission queue expects)."""
 
-    conn: _ConnState
+    conn: _Connection
     message_id: Any
     op: str
     args: dict
     tenant: str
     priority: int
     deadline: Deadline
-    submitted: float
-    seq: int
     #: Coalesced operation count (len(ops) for a batch, else 1).
     nops: int = 1
     #: Set by the admission queue when the request is enqueued.
@@ -205,16 +276,13 @@ class WireServer:
         total_capacity = QUEUE_CAPACITY * len(specs)
         self.high_water = int(total_capacity * HIGH_WATER)
         self.low_water = int(total_capacity * LOW_WATER)
-        self._seq = 0
-        self._open_conns = 0
-        self._conn_seq = 0
         self._running = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._worker_tasks: list[asyncio.Task] = []
-        self._conns: dict[int, _ConnState] = {}
-        self._drops: list[tuple[WireRequest, str]] = []
-        self._arrival: Optional[asyncio.Event] = None
-        self._space: Optional[asyncio.Event] = None
+        self._conns: set[_Connection] = set()
+        #: Connections paused on admission backpressure.
+        self._stalled: list[_Connection] = []
+        self._arrival = asyncio.Event()
         self._build_instruments()
 
     # -- instruments ---------------------------------------------------------
@@ -249,7 +317,7 @@ class WireServer:
             "Register runs that fell back to per-item registration")
         self._m_backpressure = reg.counter(
             "wire.backpressure_stalls_total",
-            "Times a connection reader paused on a full admission queue")
+            "Times a connection paused reading on a full admission queue")
         self._m_connections = reg.counter(
             "wire.connections_total", "Connections accepted")
         self._m_bytes_read = reg.counter(
@@ -271,7 +339,7 @@ class WireServer:
                      lambda: float(self.core.in_flight),
                      "Requests currently in service")
         reg.gauge_fn("wire.open_connections",
-                     lambda: float(self._open_conns),
+                     lambda: float(len(self._conns)),
                      "Currently open client connections")
 
     # -- lifecycle -----------------------------------------------------------
@@ -280,12 +348,10 @@ class WireServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._running = True
-        self._arrival = asyncio.Event()
-        self._space = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, host=self.host, port=self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), host=self.host, port=self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
         self._worker_tasks = [
             loop.create_task(self._worker(), name=f"{self.name}.worker{i:02d}")
             for i in range(self.workers)
@@ -299,90 +365,51 @@ class WireServer:
         if self._server is None:
             return
         self._running = False
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        server, self._server = self._server, None
+        server.close()
         # Everything still queued gets a terminal "closed" response.
         for request in self.core.drain():
-            await self._respond(request, _error(
+            self._respond(request, _error(
                 request.message_id, "closed", "server shutting down"), "closed")
         self._arrival.set()
-        self._space.set()
         for task in self._worker_tasks:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
-        await self._flush_drops()  # drops a cancelled worker left parked
-        for state in list(self._conns.values()):
-            state.closed = True
-            state.writer.close()
-        for state in list(self._conns.values()):
-            try:
-                await state.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer already gone; the close still completed
-        self._conns.clear()
+        conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+            if conn.transport.get_write_buffer_size():
+                conn.transport.abort()  # the peer is not reading: drop it
+        await asyncio.gather(*(conn.lost for conn in conns))
+        await server.wait_closed()
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` (port is concrete after ``start``)."""
-        return (self.host, self.port)
-
-    # -- connection handling -------------------------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._conn_seq += 1
-        state = _ConnState(writer=writer, index=self._conn_seq)
-        self._conns[state.index] = state
-        self._open_conns += 1
-        self._m_connections.add(1)
-        try:
-            while self._running:
-                await self._backpressure_gate()
-                if not self._running:
-                    break
-                message = await read_frame(
-                    reader, on_bytes=self._m_bytes_read.add)
-                if message is None:
-                    break
-                await self._dispatch(state, message)
-        except WireProtocolError:
-            pass  # protocol violation: drop the connection (counted below)
-        except (ConnectionError, OSError):
-            pass  # peer vanished mid-read; nothing left to answer
-        finally:
-            state.closed = True
-            self._open_conns -= 1
-            self._conns.pop(state.index, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # close of a dead socket; already disconnected
-
-    async def _backpressure_gate(self) -> None:
-        """Pause reading while the admission queue is above high water."""
-        queue = self.core.queue
-        if queue.depth < self.high_water:
-            return
+    # -- admission backpressure ----------------------------------------------
+    def _stall(self, conn: _Connection) -> None:
+        """Pause a connection's reading on a full admission queue."""
+        conn.stalled = True
+        conn.transport.pause_reading()
+        self._stalled.append(conn)
         self._m_backpressure.add(1)
         self._hub.bus.publish(
             "wire.backpressure", subject=self.name, severity=WARNING,
-            depth=queue.depth, high_water=self.high_water)
-        while self._running and queue.depth > self.low_water:
-            self._space.clear()
-            if queue.depth <= self.low_water:
-                break
-            await self._space.wait()
+            depth=self.core.queue.depth, high_water=self.high_water)
+
+    def _unstall(self) -> None:
+        """Resume every stalled connection (the queue is at low water)."""
+        stalled, self._stalled = self._stalled, []
+        for conn in stalled:
+            conn.stalled = False
+            conn.resume()
 
     # -- admission -----------------------------------------------------------
-    async def _dispatch(self, state: _ConnState, message: dict) -> None:
+    def _dispatch(self, conn: _Connection, message: dict) -> None:
         """Validate, authenticate and admit one decoded message."""
         message_id = message.get("id")
         op = message.get("op")
         if op not in OPS or (op == "stall" and not self.debug_ops):
             self._m_requests["unknown"].add(1)
-            await self._send(state, error_envelope(
+            self._send(conn, error_envelope(
                 message_id,
                 WireProtocolError(f"unknown op {op!r}")), status="error")
             return
@@ -390,11 +417,10 @@ class WireServer:
         try:
             args, tenant, priority, budget = self._envelope_fields(op, message)
         except WireProtocolError as exc:
-            await self._send(state, error_envelope(message_id, exc),
-                             status="error")
+            self._send(conn, error_envelope(message_id, exc), "error")
             return
         if op == "auth":
-            await self._handle_auth(state, message_id, args)
+            self._handle_auth(conn, message_id, args)
             return
         if self.auth is not None:
             session = message.get("session")
@@ -403,39 +429,33 @@ class WireServer:
                 try:
                     principal = self.auth.authenticate_session(session).name
                 except Exception as exc:
-                    await self._send(state, error_envelope(message_id, exc),
-                                     status="error")
+                    self._send(conn, error_envelope(message_id, exc),
+                               "error")
                     return
             if principal is None:
-                principal = state.principal
+                principal = conn.principal
             if self.require_auth and principal is None and op != "ping":
-                await self._send(state, error_envelope(
+                self._send(conn, error_envelope(
                     message_id,
                     WireProtocolError("authentication required")),
                     status="error")
                 return
         nops = len(args["ops"]) if op == "batch" else 1
-        tenant = tenant or state.tenant or self._fallback_tenant
+        tenant = tenant or conn.tenant or self._fallback_tenant
         if tenant not in self.tenants:
             tenant = self._fallback_tenant
-        now = self._clock()
-        self._seq += 1
         request = WireRequest(
-            conn=state, message_id=message_id, op=op, args=args,
+            conn=conn, message_id=message_id, op=op, args=args,
             tenant=tenant, priority=priority,
-            deadline=Deadline(now, budget), submitted=now,
-            seq=self._seq, nops=max(1, nops))
+            deadline=Deadline(self._clock(), budget), nops=max(1, nops))
         reason = self.core.admit(request, request.nops)
         if reason is not None:
             self._m_rejected[reason].add(1)
-            await self._send(state, _error(
+            self._send(conn, _error(
                 message_id, "rejected", f"request rejected: {reason}",
                 reason=reason), "rejected")
             return
         self._arrival.set()
-        # Queue-side drops (expired / shed) surfaced by a concurrent pop
-        # must be answered promptly even if every worker is busy.
-        await self._flush_drops()
 
     def _envelope_fields(self, op: str, message: dict) -> tuple:
         """The client-set envelope fields ``(args, tenant, priority,
@@ -467,11 +487,11 @@ class WireServer:
                        for sub in request.args["ops"])
         return request.op in _WRITE_OPS
 
-    async def _handle_auth(self, state: _ConnState, message_id: Any,
-                           args: dict) -> None:
+    def _handle_auth(self, conn: _Connection, message_id: Any,
+                     args: dict) -> None:
         """Issue a session token for static credentials (auth op)."""
         if self.auth is None:
-            await self._send(state, error_envelope(
+            self._send(conn, error_envelope(
                 message_id,
                 WireProtocolError("server has no auth provider")),
                 status="error")
@@ -485,14 +505,13 @@ class WireServer:
                             args.get("token")),
                 ttl=float(args.get("ttl", 3600.0)))
         except Exception as exc:
-            await self._send(state, error_envelope(message_id, exc),
-                             status="error")
+            self._send(conn, error_envelope(message_id, exc), "error")
             return
-        state.principal = session.subject
+        conn.principal = session.subject
         if tenant in self.tenants:
-            state.tenant = tenant
+            conn.tenant = tenant
         self._m_sessions.add(1)
-        await self._send(state, {
+        self._send(conn, {
             "id": message_id, "ok": True,
             "result": {"session": session.token,
                        "subject": session.subject,
@@ -500,23 +519,17 @@ class WireServer:
 
     # -- queue callbacks -----------------------------------------------------
     def _on_queue_drop(self, request: WireRequest, reason: str) -> None:
-        # Called synchronously inside queue.pop(); the response needs an
-        # await, so park it for the next _flush_drops() call.
-        self._drops.append((request, reason))
-
-    async def _flush_drops(self) -> None:
-        """Answer requests the admission queue dropped (expired / shed)."""
-        while self._drops:
-            request, reason = self._drops.pop(0)
-            if reason == "expired":
-                await self._respond(request, _error(
-                    request.message_id, "deadline",
-                    f"budget of {request.deadline.budget:.3f}s expired in "
-                    "queue"), "deadline")
-            else:
-                await self._respond(request, _error(
-                    request.message_id, "rejected",
-                    "request shed under overload", reason="shed"), "shed")
+        """Answer a request the admission queue dropped (expired / shed),
+        inside the ``queue.pop()`` that dropped it."""
+        if reason == "expired":
+            self._respond(request, _error(
+                request.message_id, "deadline",
+                f"budget of {request.deadline.budget:.3f}s expired in queue"),
+                "deadline")
+        else:
+            self._respond(request, _error(
+                request.message_id, "rejected",
+                "request shed under overload", reason="shed"), "shed")
 
     # -- workers -------------------------------------------------------------
     async def _worker(self) -> None:
@@ -524,24 +537,22 @@ class WireServer:
         queue = self.core.queue
         while self._running:
             request = queue.pop()
+            if self._stalled and queue.depth <= self.low_water:
+                self._unstall()
             if request is None:
-                await self._flush_drops()
                 self._arrival.clear()
                 if queue.depth == 0 and self._running:
                     await self._arrival.wait()
                 continue
             try:
-                await self._flush_drops()
                 await self._serve(request)
             except asyncio.CancelledError:
                 # Cancelled (stop()): the popped request still gets its
                 # terminal response before the worker dies.
-                await self._respond(request, _error(
+                self._respond(request, _error(
                     request.message_id, "closed", "server shutting down"),
                     "closed")
                 raise
-            if queue.depth <= self.low_water:
-                self._space.set()
 
     async def _serve(self, request: WireRequest) -> None:
         """Execute one admitted request and send its terminal response."""
@@ -549,7 +560,7 @@ class WireServer:
         try:
             if request.op == "batch":
                 ops = request.args["ops"]
-                results = self._execute_batch(ops, request.conn)
+                results = self._execute_batch(ops)
                 self._m_batches.add(1)
                 self._h_batch_size.observe(float(len(ops)))
                 result: Any = results
@@ -557,17 +568,17 @@ class WireServer:
                 await asyncio.sleep(float(request.args.get("seconds", 0.01)))
                 result = {"stalled": True}
             else:
-                result = self._execute(request.op, request.args, request.conn)
+                result = self._execute(request.op, request.args)
         except Exception as exc:
-            await self._respond(request, error_envelope(
+            self._respond(request, error_envelope(
                 request.message_id, exc), "error")
             return
         self._s_service.record(self._clock() - started)
-        await self._respond(request, {"id": request.message_id, "ok": True,
-                                      "result": result}, "ok")
+        self._respond(request, {"id": request.message_id, "ok": True,
+                                "result": result}, "ok")
 
     # -- operation execution -------------------------------------------------
-    def _execute_batch(self, ops: list, state: _ConnState) -> list[dict]:
+    def _execute_batch(self, ops: list) -> list[dict]:
         """Serve a coalesced batch: one pass, grouped register fast path."""
         results: list[dict] = []
         index = 0
@@ -579,7 +590,7 @@ class WireServer:
                        and ops[index].get("op") == "register"):
                     run.append(ops[index].get("args") or {})
                     index += 1
-                results.extend(self._register_run(run, state))
+                results.extend(self._register_run(run))
                 continue
             if not isinstance(sub, dict):
                 results.append(self._sub_error(
@@ -587,13 +598,13 @@ class WireServer:
             else:
                 try:
                     results.append({"ok": True, "result": self._execute(
-                        sub.get("op"), sub.get("args") or {}, state)})
+                        sub.get("op"), sub.get("args") or {})})
                 except Exception as exc:
                     results.append(self._sub_error(exc))
             index += 1
         return results
 
-    def _register_run(self, run: list[dict], state: _ConnState) -> list[dict]:
+    def _register_run(self, run: list[dict]) -> list[dict]:
         """Serve a run of register ops — group-commit when the store can.
 
         The durable store's :meth:`register_batch` appends every WAL
@@ -619,7 +630,7 @@ class WireServer:
         for args in run:
             try:
                 results.append({"ok": True, "result":
-                                self._execute("register", args, state)})
+                                self._execute("register", args)})
             except Exception as exc:
                 results.append(self._sub_error(exc))
         return results
@@ -640,11 +651,10 @@ class WireServer:
             "checksum": args["checksum"],
             "basic": args.get("basic") or {},
             "created": float(args.get("created", 0.0)),
-            "tags": args.get("tags") or (),
+            "tags": _tags(args),
         }
 
-    def _execute(self, op: Optional[str], args: dict,
-                 state: _ConnState) -> Any:
+    def _execute(self, op: Optional[str], args: dict) -> Any:
         """Run one (non-batch) operation against the store / ADAL."""
         if op == "ping":
             return {"pong": True, "now": self._clock()}
@@ -663,7 +673,7 @@ class WireServer:
             return {"records": [r.to_dict() for r in hits],
                     "count": len(hits)}
         if op == "tag":
-            self.store.tag(args["dataset_id"], *args.get("tags", ()))
+            self.store.tag(args["dataset_id"], *_tags(args))
             return {"dataset_id": args["dataset_id"]}
         if op == "add_processing":
             step = self.store.add_processing(
@@ -685,32 +695,39 @@ class WireServer:
         raise WireProtocolError(f"unknown op {op!r}")
 
     # -- responses -----------------------------------------------------------
-    async def _respond(self, request: WireRequest, message: dict,
-                       status: str) -> None:
+    def _respond(self, request: WireRequest, message: dict,
+                 status: str) -> None:
         """The one terminal response of a request that left the queue."""
         if not request.finished:
             request.finished = True
-            await self._send(request.conn, message, status, settles=True)
+            self._send(request.conn, message, status, settles=True)
 
-    async def _send(self, state: _ConnState, message: dict,
-                    status: str, settles: bool = False) -> None:
+    def _send(self, conn: _Connection, message: dict,
+              status: str, settles: bool = False) -> None:
         """Write one terminal response; count it even if the peer is gone.
 
         ``settles`` closes an admitted request's books in the same step
         that counts its response, so the balance never shows it twice or
-        not at all.
+        not at all.  A reply over the frame bound goes out as its error;
+        when even that is over (the echoed id is), the connection closes.
         """
         self._m_responses[status].add(1)
         if settles:
             self.core.settle()
-        if state.closed:
+        if conn.closed:
             self._m_send_failures.add(1)
             return
         try:
-            self._m_bytes_written.add(
-                await write_frame(state.writer, message))
-        except (ConnectionError, OSError):
-            self._m_send_failures.add(1)
+            frame = encode_frame(message)
+        except WireProtocolError as exc:
+            try:
+                frame = encode_frame(error_envelope(message["id"], exc))
+            except WireProtocolError:
+                self._m_send_failures.add(1)
+                conn.close()
+                return
+        conn.transport.write(frame)
+        self._m_bytes_written.add(len(frame))
 
     # -- accounting ----------------------------------------------------------
     def accounting(self) -> dict:

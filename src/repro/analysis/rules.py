@@ -641,8 +641,10 @@ class AdHocCounterRule(Rule):
 _ASYNC_BLOCKING = {
     "time.sleep": "use `await asyncio.sleep(...)`",
     "os.fsync": "run it in a thread (asyncio.to_thread) or outside the loop",
-    "socket.socket": "use asyncio.open_connection / start_server streams",
-    "socket.create_connection": "use asyncio.open_connection",
+    "socket.socket": "use loop.create_connection / create_server with an "
+                     "asyncio.Protocol",
+    "socket.create_connection": "use loop.create_connection with an "
+                                "asyncio.Protocol",
     "subprocess.run": "use asyncio.create_subprocess_exec",
     "subprocess.call": "use asyncio.create_subprocess_exec",
     "subprocess.check_call": "use asyncio.create_subprocess_exec",

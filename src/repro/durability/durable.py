@@ -206,6 +206,7 @@ class DurableMetadataStore(MetadataStore):
         status: str = "success",
         parent: Optional[str] = None,
     ) -> ProcessingRecord:
+        self._check_strings("dataset id and step name", dataset_id, name)
         self._log(
             "add_processing",
             {
@@ -228,6 +229,7 @@ class DurableMetadataStore(MetadataStore):
         return step
 
     def tag(self, dataset_id: str, *tags: str) -> None:
+        self._check_strings("dataset id and tags", dataset_id, *tags)
         self._log("tag", {"dataset_id": dataset_id, "tags": list(tags)})
         super().tag(dataset_id, *tags)
         self._mark_stale(dataset_id)

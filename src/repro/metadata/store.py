@@ -221,8 +221,13 @@ class MetadataStore:
                     checksum: str, basic: Mapping[str, Any], created: float = 0.0,
                     tags: Iterable[str] = ()) -> DatasetRecord:
         """The record :meth:`register_dataset` would enter, after every
-        check it runs (availability, write-once, project, schema); changes
-        nothing."""
+        check it runs (key types, availability, write-once, project,
+        schema); changes nothing."""
+        self._check_strings("dataset id and url", dataset_id, url)
+        if isinstance(tags, str):
+            raise TypeError(f"tags must be a collection, got {tags!r}")
+        tags = set(tags)
+        self._check_strings("tags", *tags)
         if not self._available:
             raise MetadataUnavailableError("metadata repository is down")
         if dataset_id in self._datasets:
@@ -236,8 +241,17 @@ class MetadataStore:
             checksum=checksum,
             created=float(created),
             basic=validated,
-            tags=set(tags),
+            tags=tags,
         )
+
+    @staticmethod
+    def _check_strings(what: str, *values: Any) -> None:
+        """Refuse non-string keys before anything changes: ids, URLs, tags
+        and step names key dicts and sorted posting lists, and a durable
+        store logs them for replay."""
+        for value in values:
+            if not isinstance(value, str):
+                raise TypeError(f"{what} must be strings, got {value!r}")
 
     def get(self, dataset_id: str) -> DatasetRecord:
         """Fetch a dataset record."""
@@ -299,6 +313,7 @@ class MetadataStore:
     # -- tagging ------------------------------------------------------------
     def tag(self, dataset_id: str, *tags: str) -> None:
         """Add tags to a dataset (idempotent)."""
+        self._check_strings("dataset id and tags", dataset_id, *tags)
         record = self.get(dataset_id)
         for tag in tags:
             if tag not in record.tags:

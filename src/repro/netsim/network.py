@@ -222,10 +222,10 @@ class Network:
         exists now or after a mid-transfer failure, and the initiating
         process sees that exception when it ``yield``s the event.
         """
-        if not nbytes >= 0:  # NaN too
-            raise ValueError("transfer size must be >= 0")
-        if not weight > 0:
-            raise ValueError("transfer weight must be > 0")
+        if not 0 <= nbytes < math.inf:  # NaN too
+            raise ValueError("transfer size must be finite and >= 0")
+        if not 0 < weight < math.inf:
+            raise ValueError("transfer weight must be finite and > 0")
         done = self.sim.event(name=name or f"xfer:{src}->{dst}")
         self._next_fid += 1
         flow = Flow(

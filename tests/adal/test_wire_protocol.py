@@ -1,6 +1,5 @@
 """Wire protocol unit tests: framing, error mapping, query wire form."""
 
-import asyncio
 import json
 import struct
 
@@ -13,6 +12,7 @@ from repro.adal.errors import (
 )
 from repro.adal.wire import (
     MAX_FRAME_BYTES,
+    FrameDecoder,
     MAX_QUERY_DEPTH,
     RequestRejectedError,
     WireProtocolError,
@@ -23,7 +23,6 @@ from repro.adal.wire import (
     limit_from_wire,
     query_from_wire,
     query_to_wire,
-    read_frame,
 )
 from repro.metadata.errors import UnknownDatasetError, WriteOnceError
 from repro.metadata.query import Q
@@ -31,23 +30,13 @@ from repro.metadata.records import DatasetRecord
 from repro.resilience.errors import DeadlineExceededError
 
 
-def _reader_with(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
-
-
-def _read_all(data: bytes):
-    async def go():
-        reader = _reader_with(data)
-        frames = []
-        while True:
-            message = await read_frame(reader)
-            if message is None:
-                return frames
-            frames.append(message)
-    return asyncio.run(go())
+def _read_all(data: bytes, on_bytes=None):
+    """Every message of a byte stream that then closes."""
+    decoder = FrameDecoder(on_bytes)
+    decoder.feed(data)
+    frames = list(iter(decoder.next_message, None))
+    decoder.eof()
+    return frames
 
 
 class TestFraming:
@@ -100,15 +89,9 @@ class TestFraming:
 
     def test_byte_accounting_callback(self):
         seen = []
-
-        async def go():
-            frame = encode_frame({"id": 1})
-            reader = _reader_with(frame)
-            await read_frame(reader, on_bytes=seen.append)
-            return len(frame)
-
-        total = asyncio.run(go())
-        assert seen == [total]
+        frame = encode_frame({"id": 1})
+        _read_all(frame + frame, on_bytes=seen.append)
+        assert seen == [len(frame), len(frame)]
 
 
 class TestErrorMapping:

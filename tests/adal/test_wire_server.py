@@ -7,6 +7,7 @@ port and talks to it through a :class:`~repro.adal.wire.client.WireClient`.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -24,7 +25,9 @@ from repro.adal.wire import (
     WireProtocolError,
     WireServer,
 )
-from repro.adal.wire.protocol import read_frame, write_frame
+from repro.adal.wire.bench import build_bench_store
+from repro.adal.wire.protocol import FrameDecoder, encode_frame
+from repro.durability.durable import DurableMetadataStore
 from repro.frontdoor.request import TenantSpec
 from repro.metadata.errors import UnknownDatasetError, WriteOnceError
 from repro.metadata.query import Q
@@ -34,7 +37,10 @@ from repro.resilience.errors import DeadlineExceededError
 
 
 def _store():
-    store = MetadataStore()
+    return _store_into(MetadataStore())
+
+
+def _store_into(store):
     store.register_project("zf", Schema("zf", [
         FieldSpec("plate", "int", required=True)]))
     store.index_field("plate")
@@ -43,6 +49,24 @@ def _store():
             f"d{i}", "zf", f"adal://disk/zf/d{i}", 100 + i, f"c{i}",
             basic={"plate": i}, tags=("raw",) if i % 2 == 0 else ())
     return store
+
+
+async def _exchange(port, *messages):
+    """Send raw request frames on a fresh connection and return the first
+    ``len(messages)`` reply frames, decoded."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(b"".join(encode_frame(m) for m in messages))
+        decoder = FrameDecoder()
+        replies = []
+        while len(replies) < len(messages):
+            data = await asyncio.wait_for(reader.read(65536), 5.0)
+            assert data, "server closed before replying"
+            decoder.feed(data)
+            replies.extend(iter(decoder.next_message, None))
+        return replies
+    finally:
+        writer.close()
 
 
 def _run(scenario, **server_kwargs):
@@ -215,16 +239,10 @@ class TestMalformedEnvelope:
     ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
     def test_one_bad_request_reply_and_connection_survives(self, fields, caplog):
         async def scenario(server, _client):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
-            try:
-                await write_frame(writer, {"id": "bad", **fields})
-                await write_frame(writer, {"id": "next", "op": "ping"})
-                first = await asyncio.wait_for(read_frame(reader), 5.0)
-                second = await asyncio.wait_for(read_frame(reader), 5.0)
-                return first, second, server.accounting()
-            finally:
-                writer.close()
+            first, second = await _exchange(
+                server.port, {"id": "bad", **fields},
+                {"id": "next", "op": "ping"})
+            return first, second, server.accounting()
         # An auth provider (not required) so the auth op reads its args.
         first, second, acct = _run(scenario, auth=TokenAuth())
         assert first["id"] == "bad" and not first["ok"]
@@ -282,9 +300,9 @@ class TestAdmission:
             server = WireServer(_store(), debug_ops=True, workers=1)
             send = server._send
 
-            async def recording_send(*args, **kwargs):
+            def recording_send(*args, **kwargs):
                 readings.append(server.accounting()["silent_loss"])
-                await send(*args, **kwargs)
+                send(*args, **kwargs)
 
             server._send = recording_send
             await server.start()
@@ -334,6 +352,86 @@ class TestAdmission:
         assert all(not isinstance(o, asyncio.InvalidStateError)
                    for o in outcomes)
         assert acct["silent_loss"] == 0
+
+
+class TestDurableCatalogue:
+    """A request the store refuses leaves the durable catalogue as it was:
+    nothing logged, nothing half-applied, recovery byte-exact."""
+
+    @pytest.mark.parametrize("op, args", [
+        ("register", {"dataset_id": 5, "project": "zf", "url": "u",
+                      "size": 1, "checksum": "c", "basic": {"plate": 1}}),
+        ("register", {"dataset_id": "n", "project": "zf", "url": ["u"],
+                      "size": 1, "checksum": "c", "basic": {"plate": 1}}),
+        ("register", {"dataset_id": "n", "project": "zf", "url": "u",
+                      "size": 1, "checksum": "c", "basic": {"plate": 1},
+                      "tags": [None]}),
+        ("tag", {"dataset_id": "d0", "tags": [None, "a"]}),
+        ("tag", {"dataset_id": "d0", "tags": "xyz"}),
+        ("tag", {"dataset_id": ["d0"], "tags": ["a"]}),
+        ("add_processing", {"dataset_id": "d0", "name": ["align"],
+                            "params": {}, "results": {}}),
+    ], ids=["int-id", "list-url", "null-register-tag", "null-tag",
+            "string-tags", "list-id-tag", "list-step-name"])
+    def test_refused_write_changes_nothing(self, op, args):
+        store = DurableMetadataStore()
+        _store_into(store)
+        before, wal = store.state_bytes(), store.wal.size_bytes
+
+        async def go():
+            server = WireServer(store)
+            await server.start()
+            try:
+                return await _exchange(server.port,
+                                       {"id": 1, "op": op, "args": args})
+            finally:
+                await server.stop()
+        (reply,) = asyncio.run(go())
+        assert reply["kind"] == "bad_request"
+        assert store.state_bytes() == before
+        assert store.wal.size_bytes == wal
+        store.crash()
+        store.recover()
+        assert store.state_bytes() == before
+        store.snapshot()
+        store.crash()
+        store.recover()
+        assert store.state_bytes() == before
+
+
+class TestSlowReaders:
+    def test_clients_that_never_read_cannot_stall_a_ping(self):
+        """Four connections send large queries and never read their
+        replies; a fifth client's ping is still answered in its budget.
+        Workers write replies and move on: none waits on a socket."""
+        async def go():
+            store = build_bench_store(1000)
+            server = WireServer(store)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            hogs = []
+            client = WireClient("127.0.0.1", server.port)
+            try:
+                for _ in range(4):
+                    sock = socket.socket()
+                    # A small receive window fills the path to this reader
+                    # after a few replies.
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.setblocking(False)
+                    await loop.sock_connect(sock, ("127.0.0.1", server.port))
+                    hogs.append(sock)
+                    await loop.sock_sendall(sock, b"".join(
+                        encode_frame({"id": i, "op": "query",
+                                      "args": {"q": ["all"]}})
+                        for i in range(30)))
+                await asyncio.sleep(0.5)  # the replies back up
+                return await asyncio.wait_for(client.ping(budget=5.0), 5.0)
+            finally:
+                for sock in hogs:
+                    sock.close()
+                await client.close()
+                await asyncio.wait_for(server.stop(), 10.0)
+        assert asyncio.run(go())["pong"] is True
 
 
 class TestAuth:
@@ -387,19 +485,12 @@ class TestAuth:
     ], ids=["list-tenant", "nan-ttl", "inf-ttl"])
     def test_malformed_auth_refused_without_a_session(self, extra, caplog):
         async def scenario(server, _client):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
-            try:
-                await write_frame(writer, {
-                    "id": "auth", "op": "auth",
-                    "args": {"subject": "alice", "token": "s3cret", **extra}})
-                await write_frame(writer, {"id": "next", "op": "ping"})
-                first = await asyncio.wait_for(read_frame(reader), 5.0)
-                second = await asyncio.wait_for(read_frame(reader), 5.0)
-                return (first, second, server.accounting(),
-                        server.auth.active_sessions)
-            finally:
-                writer.close()
+            first, second = await _exchange(server.port, {
+                "id": "auth", "op": "auth",
+                "args": {"subject": "alice", "token": "s3cret", **extra}},
+                {"id": "next", "op": "ping"})
+            return (first, second, server.accounting(),
+                    server.auth.active_sessions)
         first, second, acct, sessions = self._serve(scenario)
         assert first["id"] == "auth" and not first["ok"]
         assert first["kind"] == "bad_request"

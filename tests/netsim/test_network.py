@@ -80,6 +80,19 @@ class TestSingleFlow:
         sim.run()
         assert net.flow_count == 0 and net.bytes_delivered.value == 0.0
 
+    @pytest.mark.parametrize("nbytes, weight", [
+        (float("inf"), 1.0), (100.0, float("inf"))])
+    def test_infinite_size_or_weight_raises_at_the_call(self, sim, nbytes,
+                                                        weight):
+        # An infinite size never completed, and an infinite weight stalled
+        # every other flow on its links: sim.run() returned with them in
+        # flight.
+        net = Network(sim, _line())
+        with pytest.raises(ValueError, match="finite"):
+            net.transfer("a", "c", nbytes, weight=weight)
+        sim.run()
+        assert net.flow_count == 0 and net.bytes_delivered.value == 0.0
+
     def test_bad_efficiency_rejected(self, sim):
         with pytest.raises(ValueError):
             Network(sim, _line(), efficiency=0.0)
