@@ -212,6 +212,8 @@ _ERROR_TO_KIND = (
     (KeyError, "bad_request"),
     (ValueError, "bad_request"),
     (TypeError, "bad_request"),
+    # A client value no conversion can hold (``"size": Infinity``).
+    (OverflowError, "bad_request"),
 )
 
 

@@ -154,7 +154,7 @@ def _run_standard(facility: Facility) -> dict:
 
 
 def _fluid_config() -> FacilityConfig:
-    """The canonical facility in fluid-event mode: rate-interval ingest."""
+    """The canonical facility in fluid-event mode: chunked ingest."""
     cfg = lsdf_2011_config()
     cfg.fluid_ingest = True
     return cfg
@@ -162,7 +162,7 @@ def _fluid_config() -> FacilityConfig:
 
 def _run_fluid(facility: Facility) -> dict:
     """Three sim-minutes of fluid-mode (zero-jitter, bulk-batched) ingest
-    with an array brown-out in the middle: rate intervals must break at
+    with an array brown-out in the middle: chunks must break at
     the incident boundary, placement must fail over, and conservation
     must still close exactly."""
     from repro.core.chaos import ChaosSchedule, Incident
@@ -172,7 +172,7 @@ def _run_fluid(facility: Facility) -> dict:
                  target=(facility.arrays[0].name,), repair_after=60.0),
     ])
     schedule.run(facility)
-    report = facility.simulate_microscopy_day(duration=180.0)
+    report = facility.simulate_microscopy_day(duration=180.0, deterministic=True)
     snapshot = _invariants(facility.stats())
     snapshot["ingest_frames"] = report.frames_ingested
     snapshot["ingest_frames_acquired"] = report.frames_acquired
@@ -228,7 +228,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="fluid",
-            description="3-minute fluid-mode ingest (rate intervals) "
+            description="3-minute fluid-mode ingest (64-frame chunks) "
                         "with an array brown-out",
             run=_run_fluid,
             config=_fluid_config,

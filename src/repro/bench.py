@@ -117,9 +117,10 @@ def run_hotpath(
     rebalance pressure, which is exactly what the incremental engine
     optimises.
 
-    ``fluid=True`` runs the fluid-event arm: deterministic (zero-jitter)
-    microscopes coalesced into rate intervals and bulk buffer/storage
-    operations.  The deterministic workload is an arm *parameter* — the
+    ``fluid=True`` runs the fluid-event arm: ``fluid_ingest`` chunked
+    acquisition (``FLUID_CHUNK_FRAMES`` frames per offer, one storage
+    write per batch) on deterministic (zero-jitter) microscopes.  The
+    deterministic workload is an arm *parameter* — the
     fluid-off and fluid-on arms are only comparable to each other within
     the same workload shape, which is why the bench runs both arms itself.
 
@@ -239,7 +240,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and report calls/frame")
     parser.add_argument("--fluid", action="store_true",
-                        help="run the fluid-event arm (rate-interval ingest)")
+                        help="run the fluid-event arm (chunked ingest)")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
     worker = functools.partial(

@@ -40,9 +40,11 @@ class FacilityConfig:
     daq_count: int = 4
 
     # -- fluid-event kernel -------------------------------------------------------
-    #: Run ingest in fluid (rate-interval) mode: deterministic microscopes
-    #: are coalesced into chunked bulk arrivals — exact for arrival_cv ==
-    #: size_cv == 0, refused otherwise.
+    #: Run ingest chunked: each microscope offers
+    #: ``facility.FLUID_CHUNK_FRAMES`` frames at a time and agents land a
+    #: batch with one storage write.  The frame stream and totals are
+    #: those of per-frame ingest; latency and backlog grow by at most one
+    #: chunk span.
     fluid_ingest: bool = False
 
     # -- analysis cluster (slide 11) ------------------------------------------------

@@ -65,6 +65,8 @@ AUDIT_STORES = ("lsdf",)
 #: Off-system replica stores, in declaration order (registered as ADAL
 #: backends and used as repair-planner restore sources).
 REPLICA_STORES = ("replica-a",)
+#: Frames per microscope offer under ``FacilityConfig.fluid_ingest``.
+FLUID_CHUNK_FRAMES = 64
 
 
 class Facility:
@@ -302,7 +304,8 @@ class Facility:
         or your own kit to isolate its counters)."""
         sink = StorageSink(self.pool, self.array_nodes)
         kwargs.setdefault("resilience", self.resilience)
-        kwargs.setdefault("fluid", self.config.fluid_ingest)
+        kwargs.setdefault(
+            "chunk_frames", FLUID_CHUNK_FRAMES if self.config.fluid_ingest else 1)
         return IngestPipeline(
             self.sim,
             self.net,
@@ -316,14 +319,11 @@ class Facility:
 
     def simulate_microscopy_day(
         self, duration: float = units.DAY, rate: str = "frames",
-        deterministic: Optional[bool] = None, **kwargs
+        deterministic: bool = False, **kwargs
     ) -> IngestReport:
         """Run the zebrafish screens for ``duration`` at the paper's rate.
 
-        ``deterministic`` zeroes the arrival/size jitter; it defaults to
-        the fluid-ingest setting, since fluid mode requires it."""
-        if deterministic is None:
-            deterministic = kwargs.get("fluid", self.config.fluid_ingest)
+        ``deterministic`` zeroes the arrival/size jitter."""
         pipeline = self.ingest_pipeline(
             zebrafish_microscopes(rate=rate, deterministic=deterministic),
             **kwargs)

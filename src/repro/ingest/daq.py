@@ -23,8 +23,8 @@ from repro.ingest.microscope import ImageDescriptor
 class DaqBuffer:
     """Bounded byte-capacity FIFO of acquired frames.
 
-    One queue serves every producer (a per-frame microscope offers one
-    frame at a time, a fluid source a whole rate interval) and every
+    One queue serves every producer (a microscope offers one chunk of
+    ``chunk_frames`` frames at a time) and every
     consumer.  Nothing here is a process: an offer that fits returns
     ``None`` and costs no kernel event, a consumer waits with
     :meth:`wait` and takes with :meth:`pop`.

@@ -25,7 +25,6 @@ from repro.netsim.network import Network
 from repro.metadata.store import MetadataStore
 from repro.resilience.kit import ResilienceKit
 from repro.ingest.daq import DaqBuffer
-from repro.ingest.fluid import FluidAcquisition
 from repro.ingest.microscope import HighThroughputMicroscope, MicroscopeConfig
 from repro.ingest.transfer import StorageSink, TransferAgent
 
@@ -97,7 +96,11 @@ class IngestReport:
 
 
 class IngestPipeline:
-    """Microscopes -> DAQ buffer -> transfer agents -> pool (+ metadata)."""
+    """Microscopes -> DAQ buffer -> transfer agents -> pool (+ metadata).
+
+    Each microscope offers ``chunk_frames`` frames at a time; above 1 the
+    agents also land a batch with one aggregate storage write.
+    """
 
     def __init__(
         self,
@@ -115,30 +118,20 @@ class IngestPipeline:
         resilience: Optional[ResilienceKit] = None,
         transfer_timeout: Optional[float] = None,
         on_error: str = "raise",
-        fluid: bool = False,
-        fluid_chunk: int = 64,
+        chunk_frames: int = 1,
     ):
         self.sim = sim
         self.resilience = resilience
-        self.fluid = bool(fluid)
         # A per-pipeline prefix keeps agent/buffer label values unique when
         # several pipelines share one facility (and hence one registry).
         prefix = TelemetryHub.for_sim(sim).unique_name("pipeline")
         self.buffer = DaqBuffer(sim, buffer_bytes, policy=buffer_policy,
                                 name=f"{prefix}.daq")
-        if self.fluid:
-            # FluidAcquisition refuses stochastic configs at construction,
-            # so a mis-configured fluid run fails loudly here, not subtly.
-            self.microscopes = [
-                FluidAcquisition(sim, cfg, rng=sim.random.spawn(f"scope.{cfg.name}"),
-                                 chunk_frames=fluid_chunk)
-                for cfg in microscope_configs
-            ]
-        else:
-            self.microscopes = [
-                HighThroughputMicroscope(sim, cfg, rng=sim.random.spawn(f"scope.{cfg.name}"))
-                for cfg in microscope_configs
-            ]
+        self.microscopes = [
+            HighThroughputMicroscope(sim, cfg, rng=sim.random.spawn(f"scope.{cfg.name}"),
+                                     chunk_frames=chunk_frames)
+            for cfg in microscope_configs
+        ]
         self.agents = [
             TransferAgent(
                 sim,
@@ -153,7 +146,7 @@ class IngestPipeline:
                 resilience=resilience,
                 transfer_timeout=transfer_timeout,
                 on_error=on_error,
-                bulk_writes=self.fluid,
+                bulk_writes=chunk_frames > 1,
             )
             for i in range(agents)
         ]

@@ -100,7 +100,7 @@ class TransferAgent:
     bulk_writes:
         Land a multi-frame batch on storage with one aggregate
         :meth:`~repro.storage.pool.StoragePool.write_bulk` instead of one
-        write per frame (the fluid-mode path; registration, accounting
+        write per frame (the chunked path; registration, accounting
         and resilience are the same either way).
     """
 
@@ -192,11 +192,9 @@ class TransferAgent:
         """Storage-write events for a batch: one per frame, or a single
         aggregate write under :attr:`bulk_writes`."""
         if self.bulk_writes and len(frames) > 1:
-            items = [(f.image_id, f.size, {"plate": f.plate, "well": f.well})
-                     for f in frames]
+            items = [(f.image_id, f.size) for f in frames]
             return [self.sink.pool.write_bulk(items, exclude=exclude)]
-        return [self.sink.pool.write(f.image_id, f.size, exclude=exclude,
-                                     plate=f.plate, well=f.well)
+        return [self.sink.pool.write(f.image_id, f.size, exclude=exclude)
                 for f in frames]
 
     def _ingest_once(self, batch: list[ImageDescriptor]) -> Generator:

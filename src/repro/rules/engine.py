@@ -91,7 +91,7 @@ class ArchiveAction(Action):
         size = ctx.hsm.pool.lookup(record.dataset_id).size
         event = tape.archive(record.dataset_id, size)
         ctx.pending_events.append(event)
-        ctx.hsm.pool.lookup(record.dataset_id).attrs["tape_copy"] = True
+        ctx.hsm.pool.lookup(record.dataset_id).tape_copy = True
         return "archive started"
 
 

@@ -84,9 +84,9 @@ class HsmSystem:
             self.sim.process(self._daemon(), name="hsm.daemon")
 
     # -- public API --------------------------------------------------------
-    def store(self, file_id: str, nbytes: float, **attrs) -> Event:
+    def store(self, file_id: str, nbytes: float) -> Event:
         """Ingest a file; in write-through mode also lays the tape copy."""
-        return self.sim.process(self._store(file_id, nbytes, attrs), name="hsm.store")
+        return self.sim.process(self._store(file_id, nbytes), name="hsm.store")
 
     def access(self, file_id: str) -> Event:
         """Read a file, staging it back from tape first when necessary.
@@ -104,11 +104,11 @@ class HsmSystem:
         return self.pool.lookup(file_id).tier
 
     # -- internals -----------------------------------------------------------
-    def _store(self, file_id: str, nbytes: float, attrs: dict) -> Generator:
-        yield self.pool.write(file_id, nbytes, **attrs)
+    def _store(self, file_id: str, nbytes: float) -> Generator:
+        yield self.pool.write(file_id, nbytes)
         if self.config.mode == "write_through":
             yield self.tape.archive(file_id, nbytes)
-            self.pool.lookup(file_id).attrs["tape_copy"] = True
+            self.pool.lookup(file_id).tape_copy = True
             self.archive_copies.add(1)
         return file_id
 
@@ -171,7 +171,7 @@ class HsmSystem:
 
     def _migrate_one(self, record: StoredFile) -> Generator:
         array = self.pool.arrays[record.array]
-        if record.attrs.get("tape_copy"):
+        if record.tape_copy:
             # Archive copy already on tape: just drop the disk replica.
             array.delete(record.size)
         else:

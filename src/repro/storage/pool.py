@@ -9,7 +9,7 @@ file according to a :class:`PlacementPolicy` and keeping the file catalog
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.simkit.core import Simulator
@@ -40,7 +40,9 @@ class StoredFile:
     last_access: float
     tier: str = "disk"  # "disk" or "tape" (managed by HSM)
     pinned: bool = False
-    attrs: dict = field(default_factory=dict)
+    #: An archive copy is on tape (HSM write-through or an archive rule),
+    #: so migration can drop the disk replica without copying it.
+    tape_copy: bool = False
 
 
 class StoragePool:
@@ -165,7 +167,6 @@ class StoragePool:
         nbytes: float,
         *,
         exclude: Optional[Iterable[str]] = None,
-        **attrs,
     ) -> Event:
         """Store a new file; the event fires when the write is durable.
 
@@ -182,20 +183,19 @@ class StoragePool:
             array=array.name,
             created=self.sim.now,
             last_access=self.sim.now,
-            attrs=dict(attrs),
         )
         self._files[file_id] = record
         return array.write(nbytes)
 
     def write_bulk(
         self,
-        items: Iterable[tuple],
+        items: Iterable[tuple[str, float]],
         *,
         exclude: Optional[Iterable[str]] = None,
     ) -> Event:
         """Store many new files with one aggregate device write.
 
-        ``items`` is an iterable of ``(file_id, nbytes, attrs)`` tuples.
+        ``items`` is an iterable of ``(file_id, nbytes)`` pairs.
         One array is chosen for the whole batch (by total bytes) and every
         file gets its own catalog entry, but the device executes a single
         write of the total.  On a work-conserving (processor-sharing)
@@ -205,25 +205,24 @@ class StoragePool:
         the per-operation overheads are amortised, which is the fluid-mode
         point.  No catalog entry is created if any id is a duplicate.
         """
-        items = [(fid, float(nbytes), attrs) for fid, nbytes, attrs in items]
+        items = [(fid, float(nbytes)) for fid, nbytes in items]
         if not items:
             raise ValueError("write_bulk needs at least one item")
         total = 0.0
-        for file_id, nbytes, _attrs in items:
+        for file_id, nbytes in items:
             if file_id in self._files:
                 raise StorageError(f"duplicate file id {file_id!r}")
             if nbytes < 0:
                 raise ValueError("size must be >= 0")
             total += nbytes
         array = self.choose_array(total, exclude=exclude)
-        for file_id, nbytes, attrs in items:
+        for file_id, nbytes in items:
             self._files[file_id] = StoredFile(
                 file_id=file_id,
                 size=nbytes,
                 array=array.name,
                 created=self.sim.now,
                 last_access=self.sim.now,
-                attrs=dict(attrs),
             )
         return array.write(total)
 

@@ -398,6 +398,35 @@ class TestDurableCatalogue:
         store.recover()
         assert store.state_bytes() == before
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_overflowing_size_is_a_bad_request(self, batched):
+        """``"size": Infinity`` overflows the server's ``int()``: the
+        client's fault, answered as ``bad_request``, and nothing logged."""
+        store = DurableMetadataStore()
+        _store_into(store)
+        before, wal = store.state_bytes(), store.wal.size_bytes
+        registers = [{"dataset_id": f"n{i}", "project": "zf", "url": "u",
+                      "size": size, "checksum": "c", "basic": {"plate": 1}}
+                     for i, size in enumerate((float("inf"), -float("inf")))]
+        if batched:
+            message = {"id": 1, "op": "batch", "args": {"ops": [
+                {"op": "register", "args": args} for args in registers]}}
+        else:
+            message = {"id": 1, "op": "register", "args": registers[0]}
+
+        async def go():
+            server = WireServer(store)
+            await server.start()
+            try:
+                return await _exchange(server.port, message)
+            finally:
+                await server.stop()
+        (reply,) = asyncio.run(go())
+        outcomes = reply["result"] if batched else [reply]
+        assert [r["kind"] for r in outcomes] == ["bad_request"] * len(outcomes)
+        assert store.state_bytes() == before
+        assert store.wal.size_bytes == wal
+
 
 class TestSlowReaders:
     def test_clients_that_never_read_cannot_stall_a_ping(self):

@@ -1,13 +1,14 @@
-"""Differential tests: fluid (rate-interval) ingest vs the per-frame path.
+"""Differential tests: chunked acquisition vs the per-frame loop.
 
-For deterministic arrival processes the fluid layer claims an exact
-*frame stream* (same frames, same ids, same bit-identical arrival
-timestamps) and exact totals, while latency and backlog may grow by up to
-one chunk span.  These tests hold it to that — frame-stream equality on
-randomized configs, facility-level total equality on an E1-shaped
-scenario with a chaos incident, the one-span latency bound, same-seed
-trace fingerprint determinism within each mode, and conservation (no
-silent loss) under backpressure in both buffer policies.
+``HighThroughputMicroscope(chunk_frames=N)`` claims the frame stream of
+``chunk_frames=1`` (same frames, same ids, bit-identical arrival
+timestamps, jittered or not) and exact totals, while latency and backlog
+may grow by up to one chunk span.  These tests hold it to that —
+frame-stream equality on randomized configs, facility-level total
+equality on an E1-shaped scenario with a chaos incident, the one-span
+latency bound, same-seed trace fingerprint determinism within each mode,
+and conservation (no silent loss) under backpressure in both buffer
+policies.
 """
 
 import pytest
@@ -16,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.trace import TraceRecorder
 from repro.core.chaos import ChaosSchedule, Incident
-from repro.core.facility import Facility
+from repro.core.facility import FLUID_CHUNK_FRAMES, Facility
 from repro.ingest.daq import DaqBuffer
-from repro.ingest.fluid import FluidAcquisition
 from repro.ingest.microscope import HighThroughputMicroscope, MicroscopeConfig
 from repro.simkit import Simulator
 from repro.simkit.units import MB
@@ -43,10 +43,10 @@ def _frame_key(frame):
             frame.timepoint, frame.microscope)
 
 
-def _emit(source_cls, cfg, duration, **kwargs):
+def _emit(cfg, duration, chunk_frames):
     sim = Simulator(seed=11)
     sink = _ListSink(sim)
-    scope = source_cls(sim, cfg, **kwargs)
+    scope = HighThroughputMicroscope(sim, cfg, chunk_frames=chunk_frames)
     scope.run(sink, duration=duration)
     sim.run()
     return scope, sink.frames
@@ -54,45 +54,45 @@ def _emit(source_cls, cfg, duration, **kwargs):
 
 # -- exact frame-stream equivalence ----------------------------------------
 
+_cv = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
+
+
 @given(
     frames_per_day=st.floats(min_value=50.0, max_value=1e5),
     duration=st.floats(min_value=10.0, max_value=3000.0),
     chunk=st.integers(min_value=1, max_value=100),
+    arrival_cv=_cv,
+    size_cv=_cv,
 )
 @settings(max_examples=60, deadline=None)
-def test_fluid_frames_bit_identical_to_discrete(frames_per_day, duration, chunk):
+def test_fluid_frames_bit_identical_to_discrete(frames_per_day, duration, chunk,
+                                                arrival_cv, size_cv):
     """Every frame — id, sweep parameters, size and the floating-point
-    arrival timestamp — is identical between the per-frame loop and the
-    rate-interval source, for any chunk size."""
+    arrival timestamp — is identical between ``chunk_frames=1`` and any
+    chunk size, with or without jitter."""
     def cfg():
         return MicroscopeConfig(name="scope-x", frames_per_day=frames_per_day,
-                                arrival_cv=0.0, size_cv=0.0)
+                                arrival_cv=arrival_cv, size_cv=size_cv)
 
-    discrete_scope, discrete = _emit(HighThroughputMicroscope, cfg(), duration)
-    fluid_scope, fluid = _emit(FluidAcquisition, cfg(), duration,
-                               chunk_frames=chunk)
+    discrete_scope, discrete = _emit(cfg(), duration, chunk_frames=1)
+    fluid_scope, fluid = _emit(cfg(), duration, chunk_frames=chunk)
     assert [_frame_key(f) for f in fluid] == [_frame_key(f) for f in discrete]
     assert fluid_scope.frames_emitted == discrete_scope.frames_emitted
 
 
 def test_fluid_honours_max_frames():
-    cfg = MicroscopeConfig(name="scope-m", frames_per_day=86_400.0,
-                           arrival_cv=0.0, size_cv=0.0)
+    cfg = MicroscopeConfig(name="scope-m", frames_per_day=86_400.0)
     sim = Simulator()
     sink = _ListSink(sim)
-    FluidAcquisition(sim, cfg, chunk_frames=7).run(sink, max_frames=25)
+    HighThroughputMicroscope(sim, cfg, chunk_frames=7).run(sink, max_frames=25)
     sim.run()
     assert len(sink.frames) == 25
 
 
-def test_fluid_rejects_stochastic_config():
-    with pytest.raises(ValueError, match="deterministic"):
-        FluidAcquisition(Simulator(), MicroscopeConfig(name="jittery"))
+def test_microscope_rejects_empty_chunks():
     with pytest.raises(ValueError, match="chunk_frames"):
-        FluidAcquisition(
-            Simulator(),
-            MicroscopeConfig(name="ok", arrival_cv=0.0, size_cv=0.0),
-            chunk_frames=0)
+        HighThroughputMicroscope(
+            Simulator(), MicroscopeConfig(name="ok"), chunk_frames=0)
 
 
 # -- facility-level differential (E1-shaped scenario + chaos) ---------------
@@ -105,8 +105,12 @@ def _run_facility(fluid: bool, seed: int = 7, trace: bool = False):
                  target=(fac.arrays[0].name,), repair_after=60.0),
     ]).run(fac)
     report = fac.simulate_microscopy_day(
-        duration=180.0, deterministic=True, fluid=fluid)
+        duration=180.0, deterministic=True, chunk_frames=_chunk(fluid))
     return report, recorder
+
+
+def _chunk(fluid: bool) -> int:
+    return FLUID_CHUNK_FRAMES if fluid else 1
 
 
 def test_fluid_matches_discrete_totals_under_chaos():
@@ -128,12 +132,11 @@ def test_same_seed_fingerprints_identical_within_mode(fluid):
 
 
 def test_fluid_chunk_size_does_not_change_totals():
+    """On the jittered screen, too."""
     fac_small = Facility(seed=9)
-    small = fac_small.simulate_microscopy_day(
-        duration=180.0, fluid=True, fluid_chunk=3)
+    small = fac_small.simulate_microscopy_day(duration=180.0, chunk_frames=3)
     fac_large = Facility(seed=9)
-    large = fac_large.simulate_microscopy_day(
-        duration=180.0, fluid=True, fluid_chunk=96)
+    large = fac_large.simulate_microscopy_day(duration=180.0, chunk_frames=96)
     assert small.frames_acquired == large.frames_acquired
     assert small.frames_ingested == large.frames_ingested
     assert small.bytes_ingested == large.bytes_ingested
@@ -150,7 +153,7 @@ def test_blackout_drill_conserves_frames(fluid):
         fac = Facility(seed=11)
         fac.resilience_drill(start=60.0, blackout=45.0).run(fac)
         return fac.simulate_microscopy_day(
-            duration=180.0, deterministic=True, fluid=fluid)
+            duration=180.0, deterministic=True, chunk_frames=_chunk(fluid))
 
     first, second = run(), run()
     assert first.frames_acquired > 0
@@ -164,7 +167,7 @@ def test_fluid_backpressure_conserves_frames(policy):
     nothing; dropping must account for every loss."""
     fac = Facility(seed=5)
     report = fac.simulate_microscopy_day(
-        duration=180.0, fluid=True,
+        duration=180.0, chunk_frames=FLUID_CHUNK_FRAMES,
         buffer_bytes=40 * MB, buffer_policy=policy)
     assert report.frames_acquired > 0
     assert report.frames_unaccounted == 0
@@ -174,22 +177,36 @@ def test_fluid_backpressure_conserves_frames(policy):
 
 
 def test_fluid_keeps_totals_and_delays_by_at_most_one_chunk():
-    """The fluid contract on the deterministic config: the same frames and
-    totals, but a frame may reach the agents up to one chunk span
-    (``chunk_frames × mean_interarrival``) later than per-frame mode."""
-    chunk = 64
+    """The chunked contract, on the deterministic and the jittered screen:
+    the same totals, but a frame may reach the agents up to one chunk span
+    later than per-frame mode.  A chunk's realised span runs from its
+    microscope's previous offer (or the start) to its own offer."""
+    def chunked(deterministic):
+        fac = Facility(seed=7)
+        pipeline = fac.ingest_pipeline(
+            zebrafish_microscopes(deterministic=deterministic),
+            chunk_frames=FLUID_CHUNK_FRAMES)
+        offer, spans, last = pipeline.buffer.offer, [], {}
+        start = fac.sim.now
 
-    def run(fluid):
-        return Facility(seed=7).simulate_microscopy_day(
-            duration=600.0, deterministic=True, fluid=fluid, fluid_chunk=chunk)
+        def recording_offer(frames):
+            scope = frames[0].microscope
+            spans.append(fac.sim.now - last.get(scope, start))
+            last[scope] = fac.sim.now
+            return offer(frames)
 
-    discrete, fluid = run(False), run(True)
-    assert fluid.frames_acquired == discrete.frames_acquired > 0
-    assert fluid.frames_ingested == discrete.frames_ingested
-    assert fluid.bytes_ingested == discrete.bytes_ingested
-    assert fluid.frames_unaccounted == discrete.frames_unaccounted == 0
-    span = chunk * zebrafish_microscopes(deterministic=True)[0].mean_interarrival
-    assert discrete.latency_max < fluid.latency_max <= discrete.latency_max + span
+        pipeline.buffer.offer = recording_offer
+        return pipeline.run(600.0), max(spans)
+
+    for deterministic in (True, False):
+        discrete = Facility(seed=7).simulate_microscopy_day(
+            duration=600.0, deterministic=deterministic)
+        fluid, span = chunked(deterministic)
+        assert fluid.frames_acquired == discrete.frames_acquired > 0
+        assert fluid.frames_ingested == discrete.frames_ingested
+        assert fluid.bytes_ingested == discrete.bytes_ingested
+        assert fluid.frames_unaccounted == discrete.frames_unaccounted == 0
+        assert discrete.latency_max < fluid.latency_max <= discrete.latency_max + span
 
 
 # -- DaqBuffer: one FIFO for single frames and chunks -------------------------

@@ -29,7 +29,7 @@ _PINS = {
                  "44294991a2c440de3f8a5bc90bd0c1385759ac012b9ae5730adc273129e91fe1"),
         "frontdoor": (6365, "ec649bfa2d7884b6d2bd072ff559c389913a1fa781b7231194d3bd13da296513",
                       "51d0926dc9a6abb90b030553dbe433b45f88aa1b3c77b01c03f6b25107c88117"),
-        "fluid": (234, "a3444295b5e5a11dba5f8ac8ba3e3bc0ae434c33ebaaf2510d1851f9650ee407",
+        "fluid": (238, "a19ec04dbbee3c458422c9a465130c54011ebb6d3386387002b73707fa1f53b9",
                   "33422bea8382a65940f4010ce073f100c859f5bcff3a148de674078308dc92a9"),
     },
     False: {
@@ -37,7 +37,7 @@ _PINS = {
                  "a81d7dfdce9f07ee696a85fa8883bb230f7a0464911e29b5c61f878324131d0c"),
         "frontdoor": (6204, "bda3eaedc93f483932ce09815b02792a819a86c292083936044796bb82b63c14",
                       "8d3827955de7d436c4fe59d8e7bd5ebe57bdffe0022055b2d2b9bb1d258f0477"),
-        "fluid": (234, "a3444295b5e5a11dba5f8ac8ba3e3bc0ae434c33ebaaf2510d1851f9650ee407",
+        "fluid": (238, "a19ec04dbbee3c458422c9a465130c54011ebb6d3386387002b73707fa1f53b9",
                   "33422bea8382a65940f4010ce073f100c859f5bcff3a148de674078308dc92a9"),
     },
 }

@@ -62,11 +62,10 @@ class TestCatalog:
 
     def test_lookup_and_contains(self, sim):
         pool, _s, _b = _pool(sim)
-        pool.write("f1", 5.0, owner="alice")
+        pool.write("f1", 5.0)
         assert pool.contains("f1")
         record = pool.lookup("f1")
         assert record.size == 5.0
-        assert record.attrs["owner"] == "alice"
         assert not pool.contains("nope")
 
     def test_len_and_files(self, sim):
