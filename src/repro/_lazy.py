@@ -1,21 +1,18 @@
-"""Deferred imports: lazy package re-exports and the optional numpy.
+"""Deferred imports: lazy package re-exports.
 
 Every package ``__init__`` re-exports its public names from submodules.
 Imported eagerly, that would load every submodule — and everything those
 import — as soon as any one name is used: importing the wire service
 would start the whole simulated facility.  :func:`lazy_exports` (PEP 562)
 defers each submodule to the first access of a name it provides, so a
-process loads only the layers it touches.  :func:`optional_numpy` does
-the same for the ``[fast]`` extra.
+process loads only the layers it touches.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import sys
-from types import ModuleType
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 
 def lazy_exports(package: str, exports: Mapping[str, tuple[str, ...]]
@@ -48,13 +45,3 @@ def lazy_exports(package: str, exports: Mapping[str, tuple[str, ...]]
         return sorted(namespace.keys() | origin.keys())
 
     return __getattr__, __dir__
-
-
-@functools.cache
-def optional_numpy() -> Optional[ModuleType]:
-    """numpy, imported on first use; ``None`` when it is not installed."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        return None
-    return numpy

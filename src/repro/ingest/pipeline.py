@@ -8,18 +8,12 @@ against the paper (frames/day, TB/day, latency, backlog, drops).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from repro.simkit.core import Simulator
 from repro.simkit import units
-from repro.simkit.monitor import _percentile
+from repro.simkit.monitor import Tally
 from repro.telemetry.hub import TelemetryHub
 from repro.netsim.network import Network
 from repro.metadata.store import MetadataStore
@@ -169,27 +163,19 @@ class IngestPipeline:
         """Build the report for a run of the given acquisition duration."""
         frames_acquired = sum(m.frames_emitted for m in self.microscopes)
         frames_ingested = int(sum(a.ingested.value for a in self.agents))
-        all_latency = [v for a in self.agents for v in a.latency.values()]
-        if np is not None:
-            lat = np.asarray(all_latency) if all_latency else np.asarray([float("nan")])
-            latency_mean = float(np.mean(lat))
-            latency_p95 = float(np.percentile(lat, 95))
-            latency_max = float(np.max(lat))
-        elif all_latency:
-            latency_mean = math.fsum(all_latency) / len(all_latency)
-            latency_p95 = _percentile(all_latency, 95)
-            latency_max = max(all_latency)
-        else:
-            latency_mean = latency_p95 = latency_max = float("nan")
+        latency = Tally("latency")
+        for agent in self.agents:
+            for value in agent.latency.values():
+                latency.record(value)
         return IngestReport(
             duration=duration,
             frames_acquired=frames_acquired,
             frames_ingested=frames_ingested,
             frames_dropped=int(self.buffer.dropped.value),
             bytes_ingested=sum(a.bytes_moved.value for a in self.agents),
-            latency_mean=latency_mean,
-            latency_p95=latency_p95,
-            latency_max=latency_max,
+            latency_mean=latency.mean,
+            latency_p95=latency.percentile(95),
+            latency_max=latency.max,
             backlog_mean_bytes=self.buffer.backlog.mean(self.sim.now),
             backlog_peak_bytes=self.buffer.backlog.max,
             frames_dead_lettered=int(sum(a.dead_lettered.value for a in self.agents)),

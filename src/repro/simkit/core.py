@@ -45,7 +45,7 @@ class Simulator:
     3.5
     """
 
-    def __init__(self, seed: Optional[int] = 0, start: float = 0.0):
+    def __init__(self, seed: int = 0, start: float = 0.0):
         self._now = float(start)
         # The pending events, kept a heap by heappush/heappop.
         self._queue: list[tuple[float, int, int, int, Event]] = []
@@ -133,7 +133,7 @@ class Simulator:
         if self._tie_rng is None:
             heappush(self._queue, (self._now + delay, priority, 0, self._seq, event))
         else:
-            tie = int(self._tie_rng.generator.integers(0, 2**31))
+            tie = self._tie_rng.integers(0, 2**31)
             heappush(self._queue, (self._now + delay, priority, tie, self._seq, event))
 
     # -- execution ---------------------------------------------------------------

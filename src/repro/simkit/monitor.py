@@ -19,21 +19,6 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-from repro._lazy import optional_numpy
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    """Pure-python linear-interpolation percentile (numpy's default
-    method), used when numpy is not installed."""
-    data = sorted(samples)
-    if len(data) == 1:
-        return data[0]
-    rank = (q / 100.0) * (len(data) - 1)
-    lo = int(math.floor(rank))
-    hi = min(lo + 1, len(data) - 1)
-    frac = rank - lo
-    return data[lo] + (data[hi] - data[lo]) * frac
-
 
 class Tally:
     """Accumulates unweighted samples and reports summary statistics."""
@@ -56,9 +41,6 @@ class Tally:
         """Sample mean (NaN when empty)."""
         if not self._samples:
             return math.nan
-        np = optional_numpy()
-        if np is not None:
-            return float(np.mean(self._samples))
         return math.fsum(self._samples) / len(self._samples)
 
     @property
@@ -66,9 +48,6 @@ class Tally:
         """Sample standard deviation (ddof=0; NaN when empty)."""
         if not self._samples:
             return math.nan
-        np = optional_numpy()
-        if np is not None:
-            return float(np.std(self._samples))
         mean = self.mean
         return math.sqrt(
             math.fsum((v - mean) ** 2 for v in self._samples)
@@ -79,40 +58,38 @@ class Tally:
         """Smallest sample (NaN when empty)."""
         if not self._samples:
             return math.nan
-        np = optional_numpy()
-        return float(np.min(self._samples)) if np is not None else min(self._samples)
+        return min(self._samples)
 
     @property
     def max(self) -> float:
         """Largest sample (NaN when empty)."""
         if not self._samples:
             return math.nan
-        np = optional_numpy()
-        return float(np.max(self._samples)) if np is not None else max(self._samples)
+        return max(self._samples)
 
     @property
     def total(self) -> float:
         """Sum of all samples."""
         if not self._samples:
             return 0.0
-        np = optional_numpy()
-        return float(np.sum(self._samples)) if np is not None else math.fsum(self._samples)
+        return math.fsum(self._samples)
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0..100) of the samples (NaN when empty)."""
+        """The q-th percentile (0..100) of the samples (NaN when empty),
+        interpolated linearly between the two nearest ranks."""
         if not self._samples:
             return math.nan
-        np = optional_numpy()
-        if np is not None:
-            return float(np.percentile(self._samples, q))
-        return _percentile(self._samples, q)
+        data = sorted(self._samples)
+        if len(data) == 1:
+            return data[0]
+        rank = (q / 100.0) * (len(data) - 1)
+        lo = int(math.floor(rank))
+        hi = min(lo + 1, len(data) - 1)
+        return data[lo] + (data[hi] - data[lo]) * (rank - lo)
 
-    def values(self):
-        """All samples as an array (copy; a plain list without numpy)."""
-        np = optional_numpy()
-        if np is not None:
-            return np.asarray(self._samples, dtype=float)
-        return [float(v) for v in self._samples]
+    def values(self) -> list[float]:
+        """All samples as a list (a copy)."""
+        return list(self._samples)
 
     def summary(self) -> dict:
         """Dict of the headline statistics."""
@@ -173,25 +150,14 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def as_arrays(self):
-        """``(times, values)`` as numpy arrays (copies; lists without numpy)."""
-        np = optional_numpy()
-        if np is not None:
-            return (np.asarray(self.times, dtype=float),
-                    np.asarray(self.values, dtype=float))
+    def as_arrays(self) -> tuple[list[float], list[float]]:
+        """``(times, values)`` as lists (copies)."""
         return list(self.times), list(self.values)
 
-    def resample(self, times: Sequence[float]):
+    def resample(self, times: Sequence[float]) -> list[float]:
         """Zero-order-hold resample at the requested times."""
         if not self.times:
             raise ValueError("resample of empty TimeSeries")
-        np = optional_numpy()
-        if np is not None:
-            src_t, src_v = self.as_arrays()
-            idx = np.searchsorted(src_t, np.asarray(times, dtype=float),
-                                  side="right") - 1
-            idx = np.clip(idx, 0, len(src_v) - 1)
-            return src_v[idx]
         out = []
         for t in times:
             i = bisect.bisect_right(self.times, float(t)) - 1

@@ -248,8 +248,8 @@ class Summary(Instrument):
         """The q-th percentile (0..100) of the samples (NaN when empty)."""
         return self._tally.percentile(q)
 
-    def values(self):
-        """All samples as an array (copy)."""
+    def values(self) -> list[float]:
+        """All samples as a list (a copy)."""
         return self._tally.values()
 
 

@@ -15,32 +15,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from repro.simkit.rand import RandomSource
 from repro.mapreduce.local import LocalJob
 from repro.mapreduce.sim import JobSpec
 
-_BASES = None if np is None else np.frombuffer(b"ACGT", dtype=np.uint8)
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise RuntimeError(
-            "the DNA read generator needs numpy — install the [fast] extra")
-
 
 def generate_genome(length: int, rng: Optional[RandomSource] = None) -> str:
     """A uniform-random genome string of the given length."""
-    _require_numpy()
     if length < 1:
         raise ValueError("genome length must be >= 1")
     rng = rng or RandomSource(0)
-    idx = rng.generator.integers(0, 4, size=length)
-    return _BASES[idx].tobytes().decode("ascii")
+    return "".join(rng.choice("ACGT") for _ in range(length))
 
 
 def generate_reads(
@@ -50,22 +35,18 @@ def generate_reads(
     error_rate: float = 0.0,
     rng: Optional[RandomSource] = None,
 ) -> list[str]:
-    """Shotgun reads: uniform start positions, optional substitution errors."""
-    _require_numpy()
+    """Shotgun reads: uniform start positions, optional substitution errors
+    (each base is replaced by a uniform-random base with ``error_rate``)."""
     if read_length > len(genome):
         raise ValueError("read_length exceeds genome length")
     rng = rng or RandomSource(1)
-    gen = rng.generator
-    starts = gen.integers(0, len(genome) - read_length + 1, size=n_reads)
     reads = []
-    for start in starts:
+    for _ in range(n_reads):
+        start = rng.integers(0, len(genome) - read_length + 1)
         read = genome[start : start + read_length]
         if error_rate > 0:
-            arr = np.frombuffer(read.encode("ascii"), dtype=np.uint8).copy()
-            errors = gen.random(read_length) < error_rate
-            if errors.any():
-                arr[errors] = _BASES[gen.integers(0, 4, size=int(errors.sum()))]
-            read = arr.tobytes().decode("ascii")
+            read = "".join(rng.choice("ACGT") if rng.uniform() < error_rate
+                           else base for base in read)
         reads.append(read)
     return reads
 

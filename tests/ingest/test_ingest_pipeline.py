@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro._lazy import optional_numpy
 from repro.core import Facility
 from repro.simkit.events import Process
 from repro.simkit import Simulator
@@ -156,30 +155,25 @@ class TestTransferAgent:
 class TestFacilityIngestPath:
     """The per-frame path through a whole :class:`Facility`."""
 
-    # sha256 of repr(IngestReport) and of json.dumps(fac.stats(),
-    # sort_keys=True) for seeds 16-18, recorded when the DAQ buffer still
-    # ran on a simkit Store and every frame took helper processes: the
-    # event-chain path must not change a single answer.  The pure-python
-    # random fallback draws a different stream, hence its own pins.  The
-    # stats pins moved once since, with the register_dataset WAL layout:
-    # only durability.metadata.wal_bytes changed (18 bytes per record).
+    # seed -> (sha256 of repr(IngestReport), sha256 of json.dumps(
+    # fac.stats(), sort_keys=True), events scheduled, netsim solves, netsim
+    # solves skipped), recorded when the DAQ buffer still ran on a simkit
+    # Store and every frame took helper processes: the event-chain path
+    # must not change a single answer.  The stats pins moved once since,
+    # with the register_dataset WAL layout: only
+    # durability.metadata.wal_bytes changed (18 bytes per record).  The
+    # three counts are exact, so a change that moves the work a run does
+    # without moving its answers still shows here.
     _PINS = {
-        True: {
-            16: ("96c6373c244a809ed63ba924065b87502a48eb6452e18712692cb27d5c7d5a12",
-                 "6947898cf0811f15ea9a87e6025697be8c89fcbcf7f6118f108b1f40e5ccbccf"),
-            17: ("3e175c8e21d4bcace38211f13039a904baf2fde340a6b4360050d9798cc92b71",
-                 "75dee33e8b954bb4c72a5ba5c32fac26adb4b281456a394aedc475b5c7b02875"),
-            18: ("80cc91fa99cc38a3e29978fa37722fd10e51c357e93e6bd5abc6b63c67e59db4",
-                 "21a65b039b0479ed75e4f3a0d55f2e084610af414ba979db13cd694b29ede662"),
-        },
-        False: {
-            16: ("3a1dca8ae93a578ac2a15fe73995e309e0044e69dbfd96a53287d36e0031546d",
-                 "383442123d891b0a29ef2dff2961c31f40186c25aeb2d65619d6b2d924d204f4"),
-            17: ("ea1f762f414139efb3e5814126fbeea71ef09d3b79c094dc4897614bd94f4c38",
-                 "80792333e0c93b31ebd32666d43618745629a811268af7960986e656375575ad"),
-            18: ("33db632a4be5afe79c596cf9d23c536fd324313b15536aedfbf3a9d3ca7b41f0",
-                 "a28a7a9a4a166719846159a01d8da45584240977b1fd535eeeeec13a50b668ec"),
-        },
+        16: ("3a1dca8ae93a578ac2a15fe73995e309e0044e69dbfd96a53287d36e0031546d",
+             "383442123d891b0a29ef2dff2961c31f40186c25aeb2d65619d6b2d924d204f4",
+             12194, 48, 1080),
+        17: ("ea1f762f414139efb3e5814126fbeea71ef09d3b79c094dc4897614bd94f4c38",
+             "80792333e0c93b31ebd32666d43618745629a811268af7960986e656375575ad",
+             12274, 34, 1095),
+        18: ("33db632a4be5afe79c596cf9d23c536fd324313b15536aedfbf3a9d3ca7b41f0",
+             "a28a7a9a4a166719846159a01d8da45584240977b1fd535eeeeec13a50b668ec",
+             12303, 38, 1095),
     }
 
     @staticmethod
@@ -199,7 +193,9 @@ class TestFacilityIngestPath:
         digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
                         for text in (repr(report),
                                      json.dumps(fac.stats(), sort_keys=True)))
-        assert digests == self._PINS[optional_numpy() is not None][seed]
+        counts = (fac.sim.events_scheduled, int(fac.net.solves.value),
+                  int(fac.net.solves_skipped.value))
+        assert digests + counts == self._PINS[seed]
 
     def test_no_process_per_frame(self, monkeypatch):
         """Without backpressure the only processes are the microscopes' and

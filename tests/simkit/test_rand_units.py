@@ -87,6 +87,21 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(0).pareto_bounded(1.0, 10.0, 5.0)
 
+    @pytest.mark.parametrize("draw, args", [
+        ("exponential", (-1.0,)),
+        ("normal", (0.0, -1.0)),
+        ("pareto_bounded", (0.0, 1.0, 2.0)),
+        ("pareto_bounded", (-1.2, 1.0, 2.0)),
+    ])
+    def test_invalid_parameters_raise_value_error(self, draw, args):
+        with pytest.raises(ValueError):
+            getattr(RandomSource(0), draw)(*args)
+
+    def test_degenerate_parameters_are_allowed(self):
+        rng = RandomSource(0)
+        assert rng.exponential(0.0) == 0.0
+        assert rng.normal(3.0, 0.0) == 3.0
+
     def test_shuffle_is_permutation(self):
         rng = RandomSource(8)
         data = list(range(20))

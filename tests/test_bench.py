@@ -12,7 +12,7 @@ def _draw_worker(seed):
 
     def proc():
         yield sim.timeout(1.5)
-        return int(sim.random.generator.integers(0, 2**31))
+        return sim.random.integers(0, 2**31)
 
     p = sim.process(proc())
     sim.run()

@@ -1,5 +1,7 @@
 """Tests for the DNA sequencing workload (real pipeline + cost model)."""
 
+import statistics
+
 import pytest
 
 from repro.simkit import RandomSource
@@ -73,17 +75,15 @@ class TestKmerCounting:
 
     def test_coverage_peaks_match_depth(self):
         """Deep coverage: k-mers from the genome appear ~coverage times."""
-        import numpy as np
-
         genome = generate_genome(200, RandomSource(7))
         n_reads, read_len = 400, 100
         reads = generate_reads(genome, n_reads, read_length=read_len,
                                rng=RandomSource(8))
         result = run_local(kmer_count_job(21), reads_to_splits(reads, 50), reducers=4)
-        counts = np.array([v for _k, v in result.output])
+        counts = [v for _k, v in result.output]
         coverage = n_reads * read_len / len(genome)
         # Median k-mer multiplicity should be within 2x of coverage.
-        assert coverage / 2 < np.median(counts) < coverage * 2
+        assert coverage / 2 < statistics.median(counts) < coverage * 2
 
 
 class TestClusterJob:
