@@ -9,6 +9,7 @@ Two levels, matching the repository's two MapReduce engines:
   k-mer expansion makes the shuffle the interesting phase.
 """
 
+import statistics
 import time
 from collections import Counter
 
@@ -93,34 +94,57 @@ def test_e10_error_kmers_are_low_multiplicity(benchmark, report):
     assert true_med > 10 * err_med
 
 
+#: E10c's job time is bimodal over seeds (the reduce phase takes either
+#: about 6 or about 12 simulated minutes), so one seed says little: the
+#: table reports the spread over these seeds and how many fall in each mode.
+E10C_SEEDS = range(10, 16)
+
+
+def _cluster_dna_job(seed: int):
+    facility = Facility(seed=seed)
+    holder = {}
+
+    def scenario():
+        yield facility.load_into_hdfs("/data/reads", 200 * GB)
+        holder["result"] = yield facility.mapreduce.submit(
+            dna_cluster_job("/data/reads", reduces=32)
+        )
+
+    p = facility.sim.process(scenario())
+    facility.run()
+    assert not p.failed, p.exception
+    return holder["result"]
+
+
 def test_e10_cluster_scale_dna_job(benchmark, report):
-    def run():
-        facility = Facility(seed=10)
-        holder = {}
-
-        def scenario():
-            yield facility.load_into_hdfs("/data/reads", 200 * GB)
-            holder["result"] = yield facility.mapreduce.submit(
-                dna_cluster_job("/data/reads", reduces=32)
-            )
-
-        p = facility.sim.process(scenario())
-        facility.run()
-        assert not p.failed, p.exception
-        return holder["result"]
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: {seed: _cluster_dna_job(seed) for seed in E10C_SEEDS},
+        rounds=1, iterations=1,
+    )
+    times = sorted(result.duration for result in results.values())
+    # A seed belongs to the mode whose extreme it is nearer.
+    split = (times[0] + times[-1]) / 2
+    fast = sum(t < split for t in times)
+    seeds = f"seeds {E10C_SEEDS[0]}-{E10C_SEEDS[-1]}"
     report(
         "E10c", "DNA k-mer job at facility scale (200 GB of reads)",
         [
-            ("job time", "-", fmt_duration(result.duration)),
-            ("shuffle volume", "> input (k-mer expansion)",
-             fmt_bytes(result.bytes_shuffled)),
-            ("node-local maps", "high", f"{result.locality_fraction:.0%}"),
+            (f"job time, seed {E10C_SEEDS[0]}", "-",
+             fmt_duration(results[E10C_SEEDS[0]].duration)),
+            (f"job time min/median/max ({seeds})", "-",
+             " / ".join(fmt_duration(t) for t in
+                        (times[0], statistics.median(times), times[-1]))),
+            ("seeds in the fast / slow mode", "-",
+             f"{fast} / {len(times) - fast}"),
+            ("shuffle volume (least over seeds)", "> input (k-mer expansion)",
+             fmt_bytes(min(r.bytes_shuffled for r in results.values()))),
+            ("node-local maps (least over seeds)", "high",
+             f"{min(r.locality_fraction for r in results.values()):.0%}"),
         ],
     )
-    assert result.bytes_shuffled > result.bytes_input
-    assert result.locality_fraction > 0.7
+    for result in results.values():
+        assert result.bytes_shuffled > result.bytes_input
+        assert result.locality_fraction > 0.7
 
 
 def test_e10_reconstruction_from_spectrum(benchmark, report):

@@ -37,14 +37,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: True when the vectorised solver can actually vectorise (numpy present).
-HAVE_NUMPY = _np is not None
-
 _EPS = 1e-12
 
 _INF = float("inf")
@@ -55,7 +47,7 @@ def _setup(
     capacities: Mapping[Hashable, float],
     weights: Mapping[Hashable, float] | None,
 ):
-    """Shared validated setup for the max-min solvers and their oracle.
+    """Shared validated setup for the max-min solver and its oracle.
 
     Returns ``(rates, active, w, remaining, members)`` where ``rates`` is
     pre-populated with the unconstrained (empty-path) flows, ``active``
@@ -63,8 +55,8 @@ def _setup(
     float weights, ``remaining`` the validated float capacities and
     ``members`` the per-link insertion-ordered membership maps
     (``lid -> {fid: None}``).  All containers are insertion-ordered dicts;
-    every solver iterates them identically, which is what guarantees
-    bit-identical results.
+    the solver and the oracle iterate them identically, which is what
+    guarantees bit-identical results.
     """
     weights = weights or {}
     rates: dict[Hashable, float] = {}
@@ -192,107 +184,6 @@ def _fill(active: Mapping, w: Mapping, caps: Mapping, members: Mapping,
             else:
                 del loaded[lid]
 
-    return rates
-
-
-def vectorized_maxmin_rates(
-    flow_links: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float] | None = None,
-) -> dict[Hashable, float]:
-    """Weighted max-min fair rates on a dense link x flow formulation.
-
-    Numerically **bit-identical** to :func:`maxmin_rates` and the naive
-    test-side oracle — not merely close.  The equivalences
-    that make that possible:
-
-    * per-link weight sums use ``np.cumsum`` row sums, which accumulates
-      strictly left-to-right like the scalar ``total += w[fid]`` loop
-      (``np.sum`` would use pairwise summation and differ in the last
-      ulp); non-members contribute ``0.0``, and ``x + 0.0 == x`` bitwise
-      for the non-negative partial sums weights produce;
-    * link order in the dense formulation is ``members`` insertion order
-      and flow order is ``active`` insertion order, so saturated links
-      and their member flows freeze in exactly the reference's order
-      (``np.nonzero`` enumerates row-major = link-then-member);
-    * shares / bottleneck / threshold / rate are elementwise IEEE ops,
-      identical to the scalar expressions;
-    * the per-link capacity subtractions of a freezing round are replayed
-      *sequentially* in frozen-flow order (they form a data dependence
-      chain through ``remaining``), as scalar ``np.float64`` arithmetic.
-
-    The differential suite (``tests/netsim/test_vectorized.py``) asserts
-    exact equality on randomized topologies.  Without numpy installed
-    this transparently falls back to the optimized scalar solver (same
-    bits, no speedup).
-    """
-    if _np is None:
-        return maxmin_rates(flow_links, capacities, weights)
-    rates, active, w, remaining, members = _setup(flow_links, capacities, weights)
-    if not active:
-        return rates
-
-    fids = list(active)
-    lids = list(members)
-    findex = {fid: i for i, fid in enumerate(fids)}
-    lindex = {lid: j for j, lid in enumerate(lids)}
-    nflows, nlinks = len(fids), len(lids)
-    wv = _np.fromiter((w[fid] for fid in fids), dtype=_np.float64, count=nflows)
-    rem = _np.fromiter((remaining[lid] for lid in lids), dtype=_np.float64,
-                       count=nlinks)
-    membership = _np.zeros((nlinks, nflows), dtype=bool)
-    # Per-flow link paths as index arrays, kept in *path* order (with
-    # duplicates, if a path repeats a link) for the subtraction replay.
-    paths = []
-    for i, fid in enumerate(fids):
-        links = active[fid]
-        idx = _np.fromiter((lindex[lid] for lid in links), dtype=_np.intp,
-                           count=len(links))
-        paths.append(idx)
-        membership[idx, i] = True
-
-    # Cached per-link weight sums, sequential-semantics via cumsum.
-    masked = _np.where(membership, wv[_np.newaxis, :], 0.0)
-    wsum = _np.cumsum(masked, axis=1)[:, -1]
-    loaded = _np.ones(nlinks, dtype=bool)
-    alive = _np.ones(nflows, dtype=bool)
-    out = _np.zeros(nflows, dtype=_np.float64)
-
-    while alive.any():
-        live_links = _np.nonzero(loaded)[0]
-        if live_links.size == 0:
-            # Mirror of the naive oracle's defensive exit.
-            out[alive] = _INF
-            break
-        shares = rem[live_links] / wsum[live_links]
-        bottleneck = shares.min()
-        threshold = bottleneck + _EPS
-        sat_links = live_links[shares <= threshold]
-        # Frozen flows in link-then-member discovery order with keep-first
-        # dedup — exactly the scalar solvers' `frozen` dict construction.
-        cols = _np.nonzero(membership[sat_links])[1]
-        _uniq, first = _np.unique(cols, return_index=True)
-        frozen = cols[_np.sort(first)]
-        # Capacity subtractions form a sequential dependence chain through
-        # `rem`; replay them in frozen order as scalar float64 arithmetic.
-        for i in frozen.tolist():
-            rate = bottleneck * wv[i]
-            out[i] = rate
-            for j in paths[i].tolist():
-                left = rem[j] - rate
-                rem[j] = left if left > 0.0 else 0.0
-        alive[frozen] = False
-        membership[:, frozen] = False
-        touched = _np.unique(_np.concatenate([paths[i] for i in frozen.tolist()]))
-        still_loaded = membership[touched].any(axis=1)
-        loaded[touched] = still_loaded
-        refresh = touched[still_loaded]
-        if refresh.size:
-            masked = _np.where(membership[refresh], wv[_np.newaxis, :], 0.0)
-            wsum[refresh] = _np.cumsum(masked, axis=1)[:, -1]
-
-    for fid, i in findex.items():
-        rates[fid] = float(out[i])
     return rates
 
 

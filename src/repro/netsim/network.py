@@ -36,13 +36,7 @@ from repro.simkit.core import Simulator
 from repro.simkit.events import LOW, Event
 from repro.simkit.monitor import TimeWeighted
 from repro.telemetry.hub import TelemetryHub
-from repro.netsim.fairshare import (
-    HAVE_NUMPY,
-    _fill,
-    equal_split_rates,
-    maxmin_rates,
-    vectorized_maxmin_rates,
-)
+from repro.netsim.fairshare import _fill, equal_split_rates, maxmin_rates
 from repro.netsim.topology import Link, NoRouteError, Topology
 
 _COMPLETE_EPS_BYTES = 1e-3
@@ -122,12 +116,6 @@ class Network:
         (protocol overhead, TCP dynamics).  The paper's "15 days for 1 PB
         over an *ideal* 10 Gb/s link" corresponds to ``efficiency < 1``;
         E6 sweeps this.
-    vector_threshold:
-        Flow-count at which the max-min engine switches to the
-        numpy-vectorised solver (bit-identical results, lower python
-        overhead on large flow sets).  ``None`` disables the vectorised
-        path; ignored for the ``equal`` model and when numpy is not
-        installed.
     """
 
     def __init__(
@@ -136,7 +124,6 @@ class Network:
         topology: Topology,
         sharing: str = "maxmin",
         efficiency: float = 1.0,
-        vector_threshold: int | None = 32,
     ):
         if sharing not in SHARING_MODELS:
             raise ValueError(f"unknown sharing model {sharing!r}")
@@ -147,13 +134,6 @@ class Network:
         self.sharing = sharing
         self.efficiency = efficiency
         self._share_fn = SHARING_MODELS[sharing]
-        #: Flow count from which the max-min engine solves on the dense
-        #: vectorised path (None / no numpy / "equal" = never).
-        self._vector_threshold = (
-            int(vector_threshold)
-            if (vector_threshold is not None and HAVE_NUMPY
-                and sharing == "maxmin")
-            else None)
         self._flows: dict[int, Flow] = {}
         self._next_fid = 0
         self._last_progress_t = sim.now
@@ -194,9 +174,13 @@ class Network:
         self.solves_skipped = reg.counter(
             "net.solves_skipped_total",
             "Rebalances that reused rates (unchanged or repeated flow set)")
+        # Always 0: the one max-min solver is the scalar one.  Kept
+        # registered because the benchmark harness still reads it for
+        # ``netsim.vector_solve_share``; it goes with that metric.
         self.vector_solves = reg.counter(
             "net.vector_solves_total",
-            "Fair-share solves executed by the vectorised max-min solver")
+            "Retired: fair-share solves by the removed vectorised solver "
+            "(always 0)")
         reg.gauge_fn("net.flows_inflight", lambda: float(len(self._flows)),
                      "Flows currently in flight")
         reg.gauge_fn("net.route_cache_hits",
@@ -439,12 +423,7 @@ class Network:
                 rates = self._solution[1]
                 self.solves_skipped.add(1)
             else:
-                threshold = self._vector_threshold
-                if threshold is not None and len(flow_links) >= threshold:
-                    solved = vectorized_maxmin_rates(
-                        flow_links, self._caps, self._weights)
-                    self.vector_solves.add(1)
-                elif self._share_fn is maxmin_rates:
+                if self._share_fn is maxmin_rates:
                     solved = _fill(flow_links, self._weights, self._caps,
                                    self._members, {})
                 else:

@@ -130,8 +130,7 @@ class ReferenceNetwork(Network):
 
     def __init__(self, sim, topology, sharing: str = "maxmin",
                  efficiency: float = 1.0):
-        super().__init__(sim, topology, sharing, efficiency,
-                         vector_threshold=None)
+        super().__init__(sim, topology, sharing, efficiency)
         self._share_fn = _REFERENCE_SHARING_MODELS[sharing]
 
     def _track_flow(self, flow) -> None:

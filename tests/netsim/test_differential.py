@@ -14,8 +14,7 @@ these tests in ``tests/netsim/reference.py``, not in ``src/``:
   across random failure/repair sequences;
 * the full :class:`Network` engine (persistent solver inputs, batched
   same-instant solves, skip-when-clean, rates reused when the flows repeat
-  the paths and weights of the replaced solution, the vectorised solver)
-  against
+  the paths and weights of the replaced solution) against
   :class:`~tests.netsim.reference.ReferenceNetwork` — the seed repo's
   rebuild-per-event path — on random arrival/departure/failure workloads
   under both sharing models, comparing completion timestamps and delivered
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.simkit import Simulator
 from repro.netsim import Network, NoRouteError, Topology
-from repro.netsim.fairshare import HAVE_NUMPY, equal_split_rates, maxmin_rates
+from repro.netsim.fairshare import equal_split_rates, maxmin_rates
 from tests.netsim.reference import (
     ReferenceNetwork,
     reference_equal_split_rates,
@@ -62,16 +61,36 @@ def _solver_scenario(draw):
     return flows, caps, weights
 
 
+@st.composite
+def _wide_solver_scenario(draw):
+    """Up to 60 flows with duplicate links in paths, empty paths, and
+    extreme capacity (1e-9 to 1e12) and weight (1e-6 to 100) magnitudes."""
+    n_links = draw(st.integers(min_value=1, max_value=10))
+    caps = {
+        f"L{i}": draw(st.floats(min_value=1e-9, max_value=1e12))
+        for i in range(n_links)
+    }
+    n_flows = draw(st.integers(min_value=0, max_value=60))
+    flows, weights = {}, {}
+    for f in range(n_flows):
+        path_len = draw(st.integers(min_value=0, max_value=n_links + 2))
+        flows[f"f{f}"] = tuple(draw(st.lists(
+            st.sampled_from(sorted(caps)),
+            min_size=path_len, max_size=path_len)))  # duplicates allowed
+        weights[f"f{f}"] = draw(st.floats(min_value=1e-6, max_value=100.0))
+    return flows, caps, weights
+
+
 class TestSolverDifferential:
-    @given(_solver_scenario())
-    @settings(max_examples=250, deadline=None)
-    def test_maxmin_bit_identical_to_reference(self, scenario):
-        flows, caps, weights = scenario
-        fast = maxmin_rates(flows, caps, weights)
-        naive = reference_maxmin_rates(flows, caps, weights)
-        # Exact equality, not approx: the solvers mirror each other's
-        # arithmetic order, and cross-process determinism depends on it.
-        assert fast == naive
+    @given(_solver_scenario(), _wide_solver_scenario())
+    @settings(max_examples=300, deadline=None)
+    def test_maxmin_bit_identical_to_reference(self, scenario, wide):
+        for flows, caps, weights in (scenario, wide):
+            fast = maxmin_rates(flows, caps, weights)
+            naive = reference_maxmin_rates(flows, caps, weights)
+            # Exact equality, not approx: the solvers mirror each other's
+            # arithmetic order, and cross-process determinism depends on it.
+            assert fast == naive
 
     @given(_solver_scenario())
     @settings(max_examples=250, deadline=None)
@@ -182,9 +201,6 @@ class TestRouteCacheDifferential:
 
 _ENDPOINTS = [f"n{i}" for i in range(_N_NODES)]
 
-#: ``1`` sends every max-min solve through the vectorised solver.
-_VECTOR_THRESHOLDS = [None, 1] if HAVE_NUMPY else [None]
-
 
 @st.composite
 def _workload(draw):
@@ -247,19 +263,16 @@ def _run_workload(net: Network, ops) -> list[tuple]:
 
 
 class TestEngineDifferential:
-    @given(ops=_workload(), sharing=st.sampled_from(["maxmin", "equal"]),
-           vector_threshold=st.sampled_from(_VECTOR_THRESHOLDS))
+    @given(ops=_workload(), sharing=st.sampled_from(["maxmin", "equal"]))
     # A link fails at the instant a flow crossing it delivers its last byte.
     @example(ops=[(0.0, "xfer", ("n4", "n5", 300.0, 1.0)),
                   (3.0, "xfer", ("n0", "n1", 1.0, 1.0)),
                   (0.0, "fail_link", 4)],
-             sharing="maxmin", vector_threshold=None)
+             sharing="maxmin")
     @settings(max_examples=120, deadline=None)
-    def test_incremental_engine_matches_reference(self, ops, sharing,
-                                                  vector_threshold):
+    def test_incremental_engine_matches_reference(self, ops, sharing):
         fast = _run_workload(
-            Network(Simulator(seed=99), _mesh(), sharing=sharing,
-                    vector_threshold=vector_threshold), ops)
+            Network(Simulator(seed=99), _mesh(), sharing=sharing), ops)
         naive = _run_workload(
             ReferenceNetwork(Simulator(seed=99), _mesh(), sharing=sharing), ops)
         # Exact comparison of completion timestamps and sizes: every

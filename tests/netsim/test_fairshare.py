@@ -34,6 +34,15 @@ class TestMaxMinExamples:
         rates = maxmin_rates({"local": []}, {})
         assert rates["local"] == float("inf")
 
+    def test_unweighted_defaults(self):
+        # No weights map: every flow weighs 1.0.
+        flows = {"a": ("L0",), "b": ("L0",), "c": ()}
+        assert (maxmin_rates(flows, {"L0": 10.0})
+                == {"a": 5.0, "b": 5.0, "c": float("inf")})
+
+    def test_empty_inputs(self):
+        assert maxmin_rates({}, {}, {}) == {}
+
     def test_unknown_link_raises(self):
         with pytest.raises(KeyError):
             maxmin_rates({"f": ["nope"]}, {"L": 1.0})

@@ -5,7 +5,7 @@ ADAL and its wire service) and the simulated substrate.  A wire process
 serves metadata over TCP, so importing the wire tier must not start the
 simulator, the network model, storage, ingest, numpy or networkx.  Every
 package ``__init__`` re-exports lazily through :mod:`repro._lazy`, and
-numpy loads only with netsim's max-min solver.  Each layering check runs
+the simulator itself imports no numpy.  Each layering check runs
 in a fresh interpreter, because this test process has imported
 everything.
 """
@@ -120,9 +120,9 @@ def test_random_stream_matches_the_recorded_sequence():
 
 
 def test_a_facility_ingest_never_imports_numpy_random():
-    """The random stream and the statistics are pure python: building a
-    facility and running a short ingest leaves ``numpy.random`` unloaded
-    (numpy itself may load, for netsim's vectorised solver)."""
+    """The random stream, the statistics and the max-min solver are pure
+    python: building a facility and running a short ingest loads no numpy
+    at all, ``numpy.random`` included."""
     loaded = _loaded_after(
         "import repro.core, repro.workloads\n"
         "facility = repro.core.Facility(seed=16)\n"
@@ -131,4 +131,4 @@ def test_a_facility_ingest_never_imports_numpy_random():
         "    agents=2)\n"
         "assert pipeline.run(duration=30.0).frames_ingested > 0")
     assert "repro.ingest.pipeline" in loaded
-    assert _within(loaded, ("numpy.random",)) == []
+    assert _within(loaded, ("numpy",)) == []
