@@ -11,6 +11,8 @@ metadata repository as chained processing records.
 Run:  python examples/zebrafish_screening.py
 """
 
+import zlib
+
 from repro.core import Facility
 from repro.databrowser import TriggerRule
 from repro.metadata import Q
@@ -30,8 +32,9 @@ def build_analysis_workflow() -> WorkflowGraph:
     ))
     g.add(FunctionActor(
         "count",
-        # A stand-in for the real cell counter: deterministic per-URL count.
-        lambda mask_url: {"cells": 20 + hash(mask_url) % 40},
+        # A stand-in for the real cell counter: deterministic per-URL count
+        # (crc32, not the per-process salted hash()).
+        lambda mask_url: {"cells": 20 + zlib.crc32(mask_url.encode()) % 40},
         inputs=("mask_url",), outputs=("cells",),
     ))
     g.add(FunctionActor(
@@ -82,11 +85,20 @@ def main() -> None:
     print(f"analyzed: {len(analyzed)} frames, {len(abnormal)} abnormal phenotypes")
 
     sample = analyzed[0]
+    # The steps' start/finish stamps are the workflow director's wall
+    # clock, so they are left out: every run prints the same bytes.
     print(f"\nprocessing history of {sample.dataset_id}:")
-    for line in browser.history(sample.dataset_id):
-        print(f"  {line}")
+    for step in sample.processing:
+        print(f"  {step.name} ({step.status})")
     chain = sample.chain(sample.processing[-1].step_id)
     print("chain:", " -> ".join(step.name.split("/")[1] for step in chain))
+
+    # -- checkpoint the catalogue: the tagged, analysed records are encoded
+    # again, every other one is copied from the last checkpoint --------------
+    store = facility.metadata
+    store.snapshot()
+    print(f"\ncheckpoint: {len(store)} records, "
+          f"{store.snapshots} checkpoints since the screen started")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ skipped — recovering the same end state.
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import accumulate, islice
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.metadata.errors import (
@@ -34,6 +36,16 @@ from repro.metadata.store import MetadataStore, ProjectInfo
 from repro.durability.wal import WriteAheadLog, canonical
 
 _SNAPSHOT_KIND = "lsdf-metadata-snapshot"
+_OPEN = b'{"datasets": ['
+_SEP_LEN = len(b", ")
+
+#: With ``snapshot_every``, a checkpoint is due once the WAL appends since
+#: the last one reach this fraction of the catalogue (and ``snapshot_every``).
+#: Recovery then replays at most ``max(snapshot_every, N * ratio)`` records,
+#: and registrations alone must double the catalogue before the next
+#: checkpoint, so all checkpoints together write under twice the final
+#: catalogue however long the run.
+_CHECKPOINT_RATIO = 0.5
 
 
 class DurableMetadataStore(MetadataStore):
@@ -44,9 +56,10 @@ class DurableMetadataStore(MetadataStore):
     wal:
         The write-ahead log (default: a fresh in-memory one).
     snapshot_every:
-        Automatically checkpoint after this many WAL appends (None = only
-        on explicit :meth:`snapshot` calls).  Checkpointing bounds recovery
-        replay time and WAL growth.
+        Automatically checkpoint once the WAL appends since the last
+        checkpoint reach this many, or half the catalogue when that is
+        more (None = only on explicit :meth:`snapshot` calls).
+        Checkpointing bounds recovery replay time and WAL growth.
     """
 
     def __init__(
@@ -76,18 +89,18 @@ class DurableMetadataStore(MetadataStore):
         self._appends_since_snapshot += 1
 
     def _maybe_snapshot(self) -> None:
-        """Auto-checkpoint — called *after* a logged op has applied.
+        """Auto-checkpoint — called *after* a logged op has applied, or
+        failed (its record counts toward the replay bound all the same).
 
         Checkpointing before the apply would capture a state missing the op
         while simultaneously clearing its WAL record: acknowledged data
         silently lost.  Tested by the crash-at-snapshot-boundary cases.
         """
-        if self._replaying:
+        if self._replaying or self.snapshot_every is None:
             return
-        if (
-            self.snapshot_every is not None
-            and self._appends_since_snapshot >= self.snapshot_every
-        ):
+        if self._appends_since_snapshot >= max(
+                self.snapshot_every,
+                int(len(self._datasets) * _CHECKPOINT_RATIO)):
             self.snapshot()
 
     # -- logged mutators ------------------------------------------------------
@@ -176,24 +189,25 @@ class DurableMetadataStore(MetadataStore):
 
     def _reset(self) -> None:
         super()._reset()
-        # Kept only with snapshot_every: each record's canonical encoding in
-        # catalogue order, and (a dict as an ordered set) the records whose
-        # encoding is stale, changed or recovered since it was made.
-        self._fragments: dict[str, Optional[bytes]] = {}
-        self._stale: dict[str, None] = {}
+        # Kept only with snapshot_every: the last checkpoint this store
+        # wrote and the end offset of each record's encoding in it, then
+        # in catalogue order the encodings of the records entered since
+        # (None: recovered, to encode), and the records changed since.
+        self._base = b""
+        self._ends = array("Q")
+        self._fresh: list[Optional[bytes]] = []
+        self._changed: set[str] = set()
 
     def _index_record(self, record: DatasetRecord,
                       fragment: Optional[bytes] = None) -> None:
-        """Index a record; without its encoding (recovery) it is stale."""
+        """Index a record and keep its encoding for the next checkpoint."""
         super()._index_record(record)
         if self.snapshot_every is not None:
-            self._fragments[record.dataset_id] = fragment
-            if fragment is None:
-                self._stale[record.dataset_id] = None
+            self._fresh.append(fragment)
 
-    def _mark_stale(self, dataset_id: str) -> None:
+    def _record_changed(self, dataset_id: str) -> None:
         if self.snapshot_every is not None:
-            self._stale[dataset_id] = None
+            self._changed.add(dataset_id)
 
     def add_processing(
         self,
@@ -220,26 +234,32 @@ class DurableMetadataStore(MetadataStore):
                 "parent": parent,
             },
         )
-        step = super().add_processing(
-            dataset_id, name, params, results, started, finished,
-            status=status, parent=parent,
-        )
-        self._mark_stale(dataset_id)
-        self._maybe_snapshot()
+        try:
+            step = super().add_processing(
+                dataset_id, name, params, results, started, finished,
+                status=status, parent=parent,
+            )
+            self._record_changed(dataset_id)
+        finally:
+            self._maybe_snapshot()
         return step
 
     def tag(self, dataset_id: str, *tags: str) -> None:
         self._check_strings("dataset id and tags", dataset_id, *tags)
         self._log("tag", {"dataset_id": dataset_id, "tags": list(tags)})
-        super().tag(dataset_id, *tags)
-        self._mark_stale(dataset_id)
-        self._maybe_snapshot()
+        try:
+            super().tag(dataset_id, *tags)
+            self._record_changed(dataset_id)
+        finally:
+            self._maybe_snapshot()
 
     def untag(self, dataset_id: str, *tags: str) -> None:
         self._log("untag", {"dataset_id": dataset_id, "tags": list(tags)})
-        super().untag(dataset_id, *tags)
-        self._mark_stale(dataset_id)
-        self._maybe_snapshot()
+        try:
+            super().untag(dataset_id, *tags)
+            self._record_changed(dataset_id)
+        finally:
+            self._maybe_snapshot()
 
     def index_field(self, name: str) -> None:
         if name in self._field_indexes:  # idempotent: re-logging is noise
@@ -280,34 +300,84 @@ class DurableMetadataStore(MetadataStore):
     def snapshot(self) -> bytes:
         """Checkpoint: persist the full state, then clear the WAL.
 
-        Writes exactly :meth:`state_bytes`; with ``snapshot_every`` it
-        re-encodes only stale records.  ``"datasets"`` sorts before every
-        head key, so one join of the record encodings, the array's opening
-        spliced into the first and the encoded head into the last, builds
-        the document in a single buffer.
+        Writes exactly :meth:`state_bytes`.  ``"datasets"`` sorts before
+        every head key, so the document is one ``b", ".join`` of the
+        record encodings (the array's opening in the first piece, its
+        closing ``]`` in the last) and the encoded head.  With
+        ``snapshot_every`` the pieces come from :meth:`_splice`.
         """
-        datasets = self._datasets
         if self.snapshot_every is None:
             pieces = [canonical(record.to_dict())
-                      for record in datasets.values()]
+                      for record in self._datasets.values()]
         else:
-            fragments = self._fragments
-            for dataset_id in self._stale:
-                fragments[dataset_id] = canonical(
-                    datasets[dataset_id].to_dict())
-            self._stale.clear()
-            pieces = list(fragments.values())
-        head = canonical(self._head(_SNAPSHOT_KIND))[1:]
-        if pieces:
-            pieces[0] = b'{"datasets": [' + pieces[0]
-            pieces[-1] += b"], " + head
+            pieces, ends = self._splice()
+        if not pieces:
+            pieces = [_OPEN + b"]"]
         else:
-            pieces = [b'{"datasets": [], ' + head]
+            if isinstance(pieces[0], bytes):
+                pieces[0] = _OPEN + pieces[0]
+            if isinstance(pieces[-1], bytes):
+                pieces[-1] += b"]"
+        pieces.append(canonical(self._head(_SNAPSHOT_KIND))[1:])
         data = b", ".join(pieces)
         self.wal.checkpoint(data)
+        if self.snapshot_every is not None:
+            self._base, self._ends = data, ends
+            self._fresh = []
+            self._changed.clear()
         self._appends_since_snapshot = 0
         self.snapshots += 1
         return data
+
+    def _splice(self) -> tuple[list, array]:
+        """The record pieces of the next checkpoint, and the end offset of
+        each record in it.
+
+        Each run of records unchanged since the last checkpoint is one
+        view of it (the first run with the array's opening, a run that
+        ends the catalogue with its ``]``); a changed or recovered record
+        is encoded again, and a record registered since brings the
+        encoding its WAL record was made of.
+        """
+        base, ends, datasets = self._base, self._ends, self._datasets
+        kept = len(ends)
+        changed = self._changed
+        redo = {i: datasets[dataset_id]
+                for i, dataset_id in enumerate(datasets)
+                if dataset_id in changed} if changed else {}
+        fresh = self._fresh
+        if None in fresh or (redo and next(reversed(redo)) >= kept):
+            entered = islice(datasets.values(), kept, None)
+            fresh = [canonical(record.to_dict())
+                     if fragment is None or i in redo else fragment
+                     for i, (fragment, record)
+                     in enumerate(zip(fresh, entered), kept)]
+        view = memoryview(base)
+        pieces: list = []
+        new_ends = array("Q")
+        pos = len(_OPEN)  # where the next record starts in the new document
+        start = 0  # the first kept record not placed yet
+        for i in [i for i in redo if i < kept] + [kept]:
+            if start < i:
+                lo = ends[start - 1] + _SEP_LEN if start else len(_OPEN)
+                shift = pos - lo
+                run = ends[start:i]
+                new_ends.extend(map(shift.__add__, run) if shift else run)
+                pieces.append(view[lo if start else 0:
+                                   ends[i - 1] + (i == len(datasets))])
+                pos = ends[i - 1] + shift + _SEP_LEN
+            if i < kept:
+                fragment = canonical(redo[i].to_dict())
+                pieces.append(fragment)
+                pos += len(fragment)
+                new_ends.append(pos)
+                pos += _SEP_LEN
+            start = i + 1
+        pieces += fresh
+        steps = map(_SEP_LEN.__add__, map(len, fresh))
+        new_ends.extend(
+            islice(accumulate(steps, initial=pos - _SEP_LEN), 1, None))
+        return pieces, new_ends
 
     def _load_state(self, data: bytes) -> None:
         state = json.loads(data.decode("utf-8"))

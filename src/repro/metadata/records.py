@@ -16,6 +16,11 @@ from typing import Any, Mapping, Optional
 from repro.metadata.errors import MetadataError, WriteOnceError
 
 
+#: The tag set of every untagged record: one shared empty set, so a
+#: catalogue of untagged frames holds no set per record.
+NO_TAGS: frozenset[str] = frozenset()
+
+
 def _frozen(mapping: Mapping[str, Any]) -> types.MappingProxyType:
     """A read-only view of a copied mapping (shallow write-once guard)."""
     return types.MappingProxyType(dict(mapping))
@@ -73,10 +78,12 @@ class DatasetRecord:
     created: float
     basic: Mapping[str, Any]
     processing: list[ProcessingRecord] = field(default_factory=list)
-    tags: set[str] = field(default_factory=set)
+    #: Immutable: the store's ``tag``/``untag`` rebind it.
+    tags: frozenset[str] = NO_TAGS
 
     def __post_init__(self) -> None:
         self.basic = _frozen(self.basic)
+        self.tags = frozenset(self.tags) or NO_TAGS
 
     # -- write-once guards --------------------------------------------------
     def replace_basic(self, *_args, **_kwargs):  # pragma: no cover - guard
@@ -129,5 +136,4 @@ class DatasetRecord:
         """Inverse of :meth:`to_dict`."""
         payload = dict(data)
         payload["processing"] = [ProcessingRecord.from_dict(p) for p in payload["processing"]]
-        payload["tags"] = set(payload["tags"])
         return cls(**payload)

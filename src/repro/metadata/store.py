@@ -28,7 +28,7 @@ from repro.metadata.errors import (
     WriteOnceError,
 )
 from repro.metadata.query import Query, resolve_field
-from repro.metadata.records import DatasetRecord, ProcessingRecord
+from repro.metadata.records import NO_TAGS, DatasetRecord, ProcessingRecord
 from repro.metadata.schema import Schema
 
 
@@ -226,7 +226,7 @@ class MetadataStore:
         self._check_strings("dataset id and url", dataset_id, url)
         if isinstance(tags, str):
             raise TypeError(f"tags must be a collection, got {tags!r}")
-        tags = set(tags)
+        tags = frozenset(tags)
         self._check_strings("tags", *tags)
         if not self._available:
             raise MetadataUnavailableError("metadata repository is down")
@@ -317,7 +317,7 @@ class MetadataStore:
         record = self.get(dataset_id)
         for tag in tags:
             if tag not in record.tags:
-                record.tags.add(tag)
+                record.tags |= {tag}
                 _post(self._tag_index.setdefault(tag, []), dataset_id)
 
     def untag(self, dataset_id: str, *tags: str) -> None:
@@ -325,7 +325,7 @@ class MetadataStore:
         record = self.get(dataset_id)
         for tag in tags:
             if tag in record.tags:
-                record.tags.discard(tag)
+                record.tags = record.tags - {tag} or NO_TAGS
                 posting = self._tag_index[tag]
                 del posting[bisect_left(posting, dataset_id)]
 

@@ -1,7 +1,8 @@
-"""Differential suite: fragment-spliced checkpoints vs a full re-encode.
+"""Differential suite: spliced checkpoints vs a full re-encode.
 
 ``DurableMetadataStore.snapshot()`` re-encodes only the records changed
-since the last checkpoint and splices the rest from stored fragments.
+since the last checkpoint, takes the WAL encodings of the records
+registered since, and splices the rest from the last checkpoint.
 The oracle is the plain ``json.dumps(state_dict(), sort_keys=True)``:
 random mutation sequences (registrations single and batched, tags added
 and removed, processing steps, indexes, explicit checkpoints, crashes
@@ -12,14 +13,16 @@ recovered from a copy of the medium must land in the same state.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.durability.durable as durable
 from repro.durability import (
     DurableMetadataStore,
     MemoryWalStorage,
     WriteAheadLog,
 )
+from repro.durability.wal import canonical
 from repro.metadata.errors import MetadataError
 from repro.metadata.schema import FieldSpec, Schema
 
@@ -133,24 +136,35 @@ def test_checkpoints_equal_full_reencode(operations, snapshot_every):
     assert _recovered_twin(store).state_bytes() == store.state_bytes()
 
 
-def test_state_bytes_stores_no_fragments():
+def test_state_bytes_stores_no_fragments(monkeypatch):
     """Comparing states must not leave a copy of the catalogue behind,
-    and a mutation makes exactly the changed record's fragment stale."""
+    and a checkpoint encodes only the records changed since the last one:
+    a registration brings the encoding its WAL record was made of."""
     store = DurableMetadataStore(snapshot_every=1000)
     store.register_project("zebra", Schema("basic", []))
     for i in range(3):
         store.register_dataset(f"d{i}", "zebra", f"u{i}", 1, "c", {},
                                tags=["raw"])
-    kept = dict(store._fragments)
-    assert list(kept) == ["d0", "d1", "d2"] and store._stale == {}
-    store.state_bytes()
-    assert store._fragments == kept and store._stale == {}
-    store.untag("d1", "raw")
-    assert list(store._stale) == ["d1"]
     store.snapshot()
-    assert store._stale == {}
-    assert store._fragments["d0"] is kept["d0"]
-    assert store._fragments["d1"] != kept["d1"]
+    base, ends = store._base, list(store._ends)
+    store.state_bytes()
+    assert store._base is base and list(store._ends) == ends
+    assert store._fresh == [] and store._changed == set()
+
+    encoded = []
+
+    def counting(obj):
+        if "dataset_id" in obj:
+            encoded.append(obj["dataset_id"])
+        return canonical(obj)
+
+    monkeypatch.setattr(durable, "canonical", counting)
+    store.register_dataset("d3", "zebra", "u3", 1, "c", {})
+    store.untag("d1", "raw")
+    assert encoded == ["d3"]
+    assert store.snapshot() == _canonical(store)
+    assert encoded == ["d3", "d1"]
+    assert store._fresh == [] and store._changed == set()
 
 
 def test_store_without_snapshot_every_keeps_no_fragments():
@@ -162,4 +176,59 @@ def test_store_without_snapshot_every_keeps_no_fragments():
                                tags=["raw"])
     store.untag("d1", "raw")
     assert store.snapshot() == _canonical(store)
-    assert store._fragments == {} and store._stale == {}
+    assert store._base == b"" and not store._ends
+    assert store._fresh == [] and store._changed == set()
+
+
+count = st.integers(1, 12)
+known = st.integers(0, 90)  # ids past the catalogue fail, logged or not
+bound_ops = st.lists(st.one_of(
+    st.tuples(st.just("register"), count),
+    st.tuples(st.just("batch"), count),
+    st.tuples(st.just("tag"), known, some_tags),
+    st.tuples(st.just("untag"), known, some_tags),
+    st.tuples(st.just("process"), known, st.booleans()),
+), max_size=30)
+
+
+def _grow(store, operations) -> None:
+    """Apply ``operations``; registrations take the next free ids."""
+    for clock, op in enumerate(operations, start=1):
+        if op[0] in ("register", "batch"):
+            new = [f"d{i}" for i in range(len(store), len(store) + op[1])]
+            steps = ([("register", dataset_id, []) for dataset_id in new]
+                     if op[0] == "register" else [("batch", new, [])])
+        else:
+            steps = [(op[0], f"d{op[1]}", op[2])]
+        for step in steps:
+            try:
+                _apply(store, step, float(clock))
+            except (MetadataError, KeyError):
+                pass  # unknown dataset: the store is untouched
+
+
+@settings(max_examples=100, deadline=None)
+@given(before=bound_ops, after=bound_ops,
+       snapshot_every=st.sampled_from([1, 4, 16]))
+# Logged ops on unknown records fail, and still count toward the bound.
+@example(before=[("tag", 5, ["raw"])] * 2, after=[], snapshot_every=1)
+@example(before=[("untag", 5, ["raw"])] * 2, after=[], snapshot_every=1)
+def test_crash_replays_at_most_the_ratio_bound(before, after, snapshot_every):
+    """However the catalogue grew and changed, a crash replays at most
+    ``max(snapshot_every, N * ratio)`` WAL records and recovers the state
+    of a twin that never crashed, before and after further work."""
+    store, twin = (_Checked(snapshot_every=snapshot_every) for _ in range(2))
+    for each in (store, twin):
+        each.register_project(
+            "zebra", Schema("basic", [FieldSpec("sample", "str"),
+                                      FieldSpec("n", "int")]))
+        _grow(each, before)
+    store.crash()
+    replayed = store.recover()
+    assert replayed <= max(snapshot_every,
+                           int(len(store) * durable._CHECKPOINT_RATIO))
+    assert store.state_bytes() == twin.state_bytes()
+    for each in (store, twin):
+        _grow(each, after)
+        each.snapshot()
+    assert store.state_bytes() == twin.state_bytes()
