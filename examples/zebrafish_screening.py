@@ -93,13 +93,6 @@ def main() -> None:
     chain = sample.chain(sample.processing[-1].step_id)
     print("chain:", " -> ".join(step.name.split("/")[1] for step in chain))
 
-    # -- checkpoint the catalogue: the tagged, analysed records are encoded
-    # again, every other one is copied from the last checkpoint --------------
-    store = facility.metadata
-    store.snapshot()
-    print(f"\ncheckpoint: {len(store)} records, "
-          f"{store.snapshots} checkpoints since the screen started")
-
 
 if __name__ == "__main__":
     main()

@@ -95,8 +95,13 @@ class DurableMetadataStore(MetadataStore):
         Checkpointing before the apply would capture a state missing the op
         while simultaneously clearing its WAL record: acknowledged data
         silently lost.  Tested by the crash-at-snapshot-boundary cases.
+
+        A store that is down never checkpoints: after a crash its in-memory
+        state is wiped, and a checkpoint would replace the durable catalogue
+        with nothing (an outage only defers it to the first op after).
         """
-        if self._replaying or self.snapshot_every is None:
+        if (self._replaying or self.snapshot_every is None
+                or not self._available):
             return
         if self._appends_since_snapshot >= max(
                 self.snapshot_every,

@@ -149,6 +149,30 @@ class TestCrashRecoverDeterministic:
         assert replayed == 0  # pure snapshot restore
         assert store.state_bytes() == before
 
+    def test_failed_op_on_a_crashed_store_never_checkpoints(self):
+        """The appends counted since the last checkpoint survive a crash,
+        and a logged op that then fails on the wiped store may reach the
+        threshold: checkpointing there would replace the durable catalogue
+        with the empty in-memory one."""
+        store = _fresh_store(snapshot_every=256)
+        _populate(store, datasets=300)
+        for i in range(200):
+            store.tag(f"d{i}", "seen")
+        before = store.state_bytes()
+        snapshots = store.snapshots
+        store.crash()
+        for _ in range(store.snapshot_every):
+            with pytest.raises(MetadataError):
+                store.tag("no-such-dataset", "t")
+            with pytest.raises(MetadataError):
+                store.untag("no-such-dataset", "t")
+            with pytest.raises(MetadataError):
+                store.add_processing("no-such-dataset", "align", {}, {},
+                                     0.0, 1.0)
+        assert store.snapshots == snapshots
+        store.recover()
+        assert store.state_bytes() == before
+
     def test_durability_stats_counters(self):
         store = _fresh_store()
         _populate(store)
