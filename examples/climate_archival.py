@@ -1,31 +1,28 @@
 #!/usr/bin/env python3
-"""Policy-managed archival storage for the climate community (slide 14).
+"""Archival-quality storage for the climate community (slide 14).
 
 The paper's outlook: onboard meteorology/climate research with "'archival'
-quality" data management, using an iRODS-style rule system.  This example
-runs that future: climate observation files are ingested and registered;
-declarative rules guarantee a tape copy for everything, pin the station
-calibration files to disk, migrate aged observations off disk, and flag
-suspicious files for review — with every rule application audited.
+quality" data management under the iRODS data-management system.  This
+example runs that future on the facility's placement-policy layer: climate
+station files are written to the primary store and catalogued, one
+declarative rule states that every climate file keeps a tape copy, and one
+convergence pass makes it so.  Afterwards the drift detector finds nothing
+left to do.
 
 Run:  python examples/climate_archival.py
 """
 
+from repro.adal.api import checksum_bytes
 from repro.core import Facility
 from repro.metadata import FieldSpec, Q, Schema
-from repro.rules import (
-    ArchiveAction,
-    MigrateAction,
-    PinAction,
-    Rule,
-    TagAction,
-)
-from repro.simkit.units import GB, MB, fmt_bytes, fmt_duration
+from repro.policy import PlacementRule
+from repro.simkit.units import fmt_bytes, fmt_duration
+
+FILES = 60
 
 
 def main() -> None:
     facility = Facility(seed=2026)
-    sim = facility.sim
     store = facility.metadata
     store.register_project(
         "climate",
@@ -37,80 +34,49 @@ def main() -> None:
         ]),
     )
 
-    # -- declare the community's data-management policy -----------------------
-    engine = facility.rules
-    engine.register(Rule(
-        "climate-archival-quality", "on_register", Q.project("climate"),
-        [ArchiveAction(), TagAction("tape-protected")],
-    ))
-    engine.register(Rule(
-        "pin-calibrations", "on_register",
-        Q.project("climate") & (Q.field("kind") == "calibration"),
-        [PinAction(True), TagAction("pinned")],
-    ))
-    engine.register(Rule(
-        "age-out-observations", "periodic",
-        Q.project("climate") & (Q.field("kind") == "observation")
-        & (Q.field("year") <= 2009),
-        [MigrateAction(), TagAction("on-tape")],
-    ))
-    engine.register(Rule(
-        "flag-suspect", "on_tag", Q.project("climate"),
-        [TagAction("needs-review")], tag="suspect",
-    ))
+    # -- a few years of station data: bytes in the primary store, one
+    #    catalogue entry per file carrying their content hash -------------------
+    primary = facility.adal_registry.resolve("lsdf")
+    total = 0
+    for i in range(FILES):
+        station = f"ST{i % 5:02d}"
+        kind = "calibration" if i % 20 == 0 else "observation"
+        year = 2008 + (i % 4)
+        file_id = f"cl-{i:03d}"
+        path = f"climate/{station}/{year}/{file_id}.nc"
+        data = f"{file_id} {station} {kind} {year}\n".encode() * (
+            256 if kind == "observation" else 32)
+        primary.put(path, data)
+        total += len(data)
+        store.register_dataset(
+            file_id, "climate", f"adal://lsdf/{path}", len(data),
+            checksum_bytes(data),
+            {"station": station, "kind": kind, "year": year})
+    print(f"catalogued {FILES} climate files ({fmt_bytes(total)}) "
+          "in the primary store")
 
-    # -- ingest a few years of station data --------------------------------------
-    def ingest():
-        for i in range(60):
-            station = f"ST{i % 5:02d}"
-            kind = "calibration" if i % 20 == 0 else "observation"
-            year = 2008 + (i % 4)
-            file_id = f"cl-{i:03d}"
-            size = 50 * MB if kind == "observation" else 5 * MB
-            yield facility.hsm.store(file_id, size)
-            store.register_dataset(
-                file_id, "climate", f"adal://lsdf/climate/{station}/{year}/{file_id}.nc",
-                int(size), f"sum{i}", {"station": station, "kind": kind, "year": year},
-                created=sim.now,
-            )
-            engine.on_register(file_id)  # rules fire at ingest
-            yield sim.timeout(30.0)
+    # -- declare the community's archival-quality guarantee ----------------------
+    facility.policy.register(PlacementRule(
+        "climate-archival-quality", Q.project("climate"), tape_copies=1))
+    before = facility.drift.detect(publish=False)
+    kinds = sorted({drift.kind for drift in before})
+    print(f"declared 'climate-archival-quality' (1 tape copy); "
+          f"drift: {len(before)} {', '.join(kinds)}")
 
-    proc = sim.process(ingest())
-    facility.run()
-    assert not proc.failed, proc.exception
-    print(f"ingested 60 climate files; tape copies: "
-          f"{int(facility.hsm.archive_copies.value + facility.tape.bytes_archived.events)}")
-
-    # -- the nightly policy sweep ages old observations off disk -------------------
-    applications = engine.run_periodic()
-    facility.run()
-    aged = [a for a in applications if a.rule == "age-out-observations"]
-    print(f"nightly sweep: {len(aged)} observations migrated to tape")
-
-    # -- an operator flags a suspect file -------------------------------------------
-    store.tag("cl-007", "suspect")
-    engine.on_tag("cl-007", "suspect")
-    print(f"suspect flow: cl-007 tags = {sorted(store.get('cl-007').tags)}")
-
-    # -- verify the policy held --------------------------------------------------------
-    protected = store.query(Q.project("climate") & Q.tag("tape-protected"))
-    pinned = store.query(Q.tag("pinned"))
-    on_tape = [r for r in store.datasets()
-               if facility.pool.contains(r.dataset_id)
-               and facility.pool.lookup(r.dataset_id).tier == "tape"]
-    print(f"\npolicy outcome:")
-    print(f"  tape-protected        {len(protected)}/60")
-    print(f"  calibration pinned    {len(pinned)} (never migration victims)")
-    print(f"  aged off disk         {len(on_tape)} files "
-          f"({fmt_bytes(sum(r.size for r in on_tape))})")
+    # -- one convergence pass executes the difference -----------------------------
+    report = facility.sim.run(until=facility.convergence.converge_once())
+    left = facility.drift.detect(publish=False)
+    on_tape = sum(facility.tape.contains(f"cl-{i:03d}") for i in range(FILES))
+    print("\nconvergence pass:")
+    print(f"  outcome               "
+          f"{'converged' if report.converged else 'DIVERGED'} in "
+          f"{report.rounds} round(s), "
+          f"{fmt_duration(report.finished - report.started)} simulated")
+    for label, count in sorted(report.actions.items()):
+        print(f"  {label:21s} x{count}")
+    print(f"  tape copies           {on_tape}/{FILES}")
     print(f"  tape cartridges       {facility.tape.cartridge_count}")
-    print(f"  rule applications     {engine.stats()['applications']} "
-          f"({engine.stats()['per_rule']})")
-    print("\naudit trail (last 3):")
-    for app in engine.log[-3:]:
-        print(f"  [{fmt_duration(app.when):>8}] {app.rule} on {app.dataset_id}: "
-              f"{'; '.join(app.outcomes)}")
+    print(f"  drift left            {len(left)}")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -264,15 +265,20 @@ class WireServer:
         specs = tuple(tenants) if tenants else _default_tenants()
         self.tenants = {spec.name: spec for spec in specs}
         self._fallback_tenant = specs[0].name
-        self._t0 = time.monotonic()
-        self._clock = lambda: time.monotonic() - self._t0
+        # Nothing this server owns refers back to it (the clock and the
+        # gauges capture what they read, the core holds the drop callback
+        # weakly), so a stopped server and its store are freed with the
+        # last reference to it, not at the next full collection.
+        t0 = time.monotonic()
+        self._clock = lambda: time.monotonic() - t0
         self._hub = TelemetryHub(clock=self._clock)
+        on_drop = weakref.WeakMethod(self._on_queue_drop)
         self.core = AdmissionCore(
             self._clock, specs, enabled=True, queue_capacity=QUEUE_CAPACITY,
             codel_target=CODEL_TARGET, codel_interval=CODEL_INTERVAL,
             brownout_target=BROWNOUT_TARGET, bus=self._hub.bus,
             subject=self.name, is_write=self._writes_in,
-            on_drop=self._on_queue_drop)
+            on_drop=lambda request, reason: on_drop()(request, reason))
         total_capacity = QUEUE_CAPACITY * len(specs)
         self.high_water = int(total_capacity * HIGH_WATER)
         self.low_water = int(total_capacity * LOW_WATER)
@@ -332,14 +338,15 @@ class WireServer:
         self._s_service = reg.summary(
             "wire.service_seconds",
             "Dequeue-to-response service time of ok responses", unit="s")
+        core, conns = self.core, self._conns
         reg.gauge_fn("wire.queue_depth",
-                     lambda: float(self.core.queue.depth),
+                     lambda: float(core.queue.depth),
                      "Requests in the wire admission queue")
         reg.gauge_fn("wire.in_flight",
-                     lambda: float(self.core.in_flight),
+                     lambda: float(core.in_flight),
                      "Requests currently in service")
         reg.gauge_fn("wire.open_connections",
-                     lambda: float(len(self._conns)),
+                     lambda: float(len(conns)),
                      "Currently open client connections")
 
     # -- lifecycle -----------------------------------------------------------

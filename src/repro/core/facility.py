@@ -44,7 +44,6 @@ from repro.policy import (
 )
 from repro.databrowser.browser import DataBrowser
 from repro.databrowser.triggers import TriggerEngine
-from repro.rules.engine import RuleContext, RuleEngine
 from repro.ingest.microscope import MicroscopeConfig
 from repro.ingest.pipeline import IngestPipeline, IngestReport
 from repro.ingest.transfer import StorageSink
@@ -198,14 +197,6 @@ class Facility:
         self.triggers = TriggerEngine(self.metadata, telemetry=self.telemetry)
         self.browser = DataBrowser(self.adal, self.metadata, self.triggers,
                                    home="adal://lsdf")
-        self.rules = RuleEngine(
-            RuleContext(
-                store=self.metadata,
-                hsm=self.hsm,
-                adal=self.adal,
-                clock=self.telemetry.clock,
-            )
-        )
 
         # -- durability layer ---------------------------------------------------------
         self.durability = DurabilityKit(

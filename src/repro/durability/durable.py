@@ -12,10 +12,12 @@ checkpoint snapshot plus the trustworthy WAL prefix.
 
 Replay is exact because every mutator is atomic: all validation happens
 before the first state change, so an operation either fully applies or
-leaves the store untouched.  A logged operation that *failed* when it was
-first attempted (a tag on an unknown dataset; registrations are checked
-before they are logged) deterministically fails again on replay and is
-skipped — recovering the same end state.
+leaves the store untouched.  A store that is down refuses registrations,
+tags, untags and processing steps before they are logged, and a
+registration, tag or untag is checked in full first.  A logged operation
+that *failed* when it was first attempted (a processing step its schema
+rejects) deterministically fails again on replay and is skipped —
+recovering the same end state.
 """
 
 from __future__ import annotations
@@ -214,6 +216,14 @@ class DurableMetadataStore(MetadataStore):
         if self.snapshot_every is not None:
             self._changed.add(dataset_id)
 
+    def _check_target(self, what: str, dataset_id: str, *keys: str) -> None:
+        """The checks a tag, untag or processing step passes before it is
+        logged: string keys, a store that is up, a registered dataset."""
+        self._check_strings(what, dataset_id, *keys)
+        if not self._available:
+            raise MetadataUnavailableError("metadata repository is down")
+        self.get(dataset_id)
+
     def add_processing(
         self,
         dataset_id: str,
@@ -225,7 +235,7 @@ class DurableMetadataStore(MetadataStore):
         status: str = "success",
         parent: Optional[str] = None,
     ) -> ProcessingRecord:
-        self._check_strings("dataset id and step name", dataset_id, name)
+        self._check_target("dataset id and step name", dataset_id, name)
         self._log(
             "add_processing",
             {
@@ -250,21 +260,18 @@ class DurableMetadataStore(MetadataStore):
         return step
 
     def tag(self, dataset_id: str, *tags: str) -> None:
-        self._check_strings("dataset id and tags", dataset_id, *tags)
+        self._check_target("dataset id and tags", dataset_id, *tags)
         self._log("tag", {"dataset_id": dataset_id, "tags": list(tags)})
-        try:
-            super().tag(dataset_id, *tags)
-            self._record_changed(dataset_id)
-        finally:
-            self._maybe_snapshot()
+        super().tag(dataset_id, *tags)
+        self._record_changed(dataset_id)
+        self._maybe_snapshot()
 
     def untag(self, dataset_id: str, *tags: str) -> None:
+        self._check_target("dataset id and tags", dataset_id, *tags)
         self._log("untag", {"dataset_id": dataset_id, "tags": list(tags)})
-        try:
-            super().untag(dataset_id, *tags)
-            self._record_changed(dataset_id)
-        finally:
-            self._maybe_snapshot()
+        super().untag(dataset_id, *tags)
+        self._record_changed(dataset_id)
+        self._maybe_snapshot()
 
     def index_field(self, name: str) -> None:
         if name in self._field_indexes:  # idempotent: re-logging is noise

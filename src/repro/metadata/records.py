@@ -10,7 +10,7 @@ figure.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.metadata.errors import MetadataError, WriteOnceError
@@ -77,7 +77,9 @@ class DatasetRecord:
     checksum: str
     created: float
     basic: Mapping[str, Any]
-    processing: list[ProcessingRecord] = field(default_factory=list)
+    #: Immutable: the store's ``add_processing`` rebinds it, so every
+    #: record without steps shares the one empty tuple.
+    processing: tuple[ProcessingRecord, ...] = ()
     #: Immutable: the store's ``tag``/``untag`` rebind it.
     tags: frozenset[str] = NO_TAGS
 
@@ -135,5 +137,6 @@ class DatasetRecord:
     def from_dict(cls, data: Mapping[str, Any]) -> "DatasetRecord":
         """Inverse of :meth:`to_dict`."""
         payload = dict(data)
-        payload["processing"] = [ProcessingRecord.from_dict(p) for p in payload["processing"]]
+        payload["processing"] = tuple(
+            ProcessingRecord.from_dict(p) for p in payload["processing"])
         return cls(**payload)

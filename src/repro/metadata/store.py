@@ -307,7 +307,7 @@ class MetadataStore:
             status=status,
             parent=parent,
         )
-        record.processing.append(step)
+        record.processing += (step,)
         return step
 
     # -- tagging ------------------------------------------------------------

@@ -51,7 +51,7 @@ class PlacementRule:
     scope:
         Metadata :class:`~repro.metadata.query.Query` selecting the
         datasets this rule governs — evaluated through the store's
-        index-assisted query planner, exactly like periodic rules.
+        index-assisted query planner.
     disk_replicas:
         Total healthy disk copies required, *including* the primary
         (``2`` means primary + one replica-store copy).

@@ -40,7 +40,7 @@ class StoredFile:
     last_access: float
     tier: str = "disk"  # "disk" or "tape" (managed by HSM)
     pinned: bool = False
-    #: An archive copy is on tape (HSM write-through or an archive rule),
+    #: An archive copy is on tape (laid by the HSM's write-through mode),
     #: so migration can drop the disk replica without copying it.
     tape_copy: bool = False
 

@@ -7,7 +7,9 @@ port and talks to it through a :class:`~repro.adal.wire.client.WireClient`.
 """
 
 import asyncio
+import gc
 import socket
+import weakref
 
 import pytest
 
@@ -562,3 +564,22 @@ class TestLifecycle:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             WireServer(_store(), workers=0)
+
+    def test_stopped_server_and_store_go_with_the_last_reference(self):
+        """Nothing a server owns refers back to it, so a stopped server and
+        its store are freed at once, not at the next full collection."""
+        async def go():
+            server = WireServer(_store())
+            await server.start()
+            client = WireClient("127.0.0.1", server.port)
+            assert (await client.get("d0"))["dataset_id"] == "d0"
+            await client.close()
+            await server.stop()
+            return weakref.ref(server), weakref.ref(server.store)
+        gc.disable()
+        try:
+            server, store = asyncio.run(go())
+            assert server() is None
+            assert store() is None
+        finally:
+            gc.enable()

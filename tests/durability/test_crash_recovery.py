@@ -20,6 +20,7 @@ from repro.durability import (
 from repro.metadata.errors import (
     MetadataError,
     MetadataUnavailableError,
+    UnknownDatasetError,
     UnknownProjectError,
     WriteOnceError,
 )
@@ -172,6 +173,31 @@ class TestCrashRecoverDeterministic:
         assert store.snapshots == snapshots
         store.recover()
         assert store.state_bytes() == before
+
+    @pytest.mark.parametrize("op", [
+        lambda store, dataset_id: store.tag(dataset_id, "late"),
+        lambda store, dataset_id: store.untag(dataset_id, "raw"),
+        lambda store, dataset_id: store.add_processing(
+            dataset_id, "align", {"p": 2}, {"ok": False}, 6.0, 7.0),
+    ], ids=["tag", "untag", "add_processing"])
+    def test_refused_mutator_leaves_no_trace(self, op):
+        """A tag, untag or processing step sent to a crashed store raises
+        ``MetadataUnavailableError`` and is never logged, so ``recover()``
+        does not apply what its caller saw fail; on a live store, one that
+        names an unknown dataset is refused before it is logged too."""
+        store = _fresh_store()
+        _populate(store)
+        before = store.state_bytes()
+        appended = store.wal.appended
+        store.crash()
+        with pytest.raises(MetadataUnavailableError):
+            op(store, "d0")
+        assert store.wal.appended == appended
+        store.recover()
+        assert store.state_bytes() == before
+        with pytest.raises(UnknownDatasetError):
+            op(store, "no-such-dataset")
+        assert store.wal.appended == appended
 
     def test_durability_stats_counters(self):
         store = _fresh_store()

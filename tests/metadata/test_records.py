@@ -51,43 +51,46 @@ class TestProcessingRecord:
 
 
 class TestDatasetRecord:
+    def test_records_without_steps_share_one_empty_chain(self):
+        assert _dataset().processing is _dataset(dataset_id="d2").processing
+        assert _dataset().processing == ()
+        restored = DatasetRecord.from_dict(_dataset().to_dict())
+        assert restored.processing is _dataset().processing
+
     def test_basic_frozen(self):
         record = _dataset()
         with pytest.raises(TypeError):
             record.basic["plate"] = 2
 
     def test_step_lookup(self):
-        record = _dataset()
-        record.processing.append(_step("s1"))
+        record = _dataset(processing=(_step("s1"),))
         assert record.step("s1").name == "segment"
         with pytest.raises(KeyError):
             record.step("ghost")
 
     def test_chain_follows_parents(self):
-        record = _dataset()
-        record.processing.extend([_step("s1"), _step("s2", "count", parent="s1"),
-                                  _step("s3", "stats", parent="s2")])
+        record = _dataset(processing=(
+            _step("s1"), _step("s2", "count", parent="s1"),
+            _step("s3", "stats", parent="s2")))
         chain = record.chain("s3")
         assert [s.step_id for s in chain] == ["s1", "s2", "s3"]
 
     def test_chain_cycle_detected(self):
-        record = _dataset()
-        record.processing.extend([_step("s1", parent="s2"), _step("s2", parent="s1")])
+        record = _dataset(processing=(_step("s1", parent="s2"),
+                                      _step("s2", parent="s1")))
         with pytest.raises(MetadataError, match="cycle"):
             record.chain("s2")
 
     def test_latest_result_prefers_recent_success(self):
-        record = _dataset()
-        record.processing.extend([
+        record = _dataset(processing=(
             _step("s1", "segment"),
             _step("s2", "segment", status="failed"),
-        ])
+        ))
         assert record.latest_result("segment").step_id == "s1"
         assert record.latest_result("missing") is None
 
     def test_round_trip_with_chain_and_tags(self):
-        record = _dataset(tags={"raw", "qc"})
-        record.processing.append(_step("s1"))
+        record = _dataset(tags={"raw", "qc"}, processing=(_step("s1"),))
         restored = DatasetRecord.from_dict(record.to_dict())
         assert restored.tags == {"raw", "qc"}
         assert restored.processing[0].step_id == "s1"
